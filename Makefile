@@ -113,10 +113,10 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short native-fuzzing pass over the samplers and graph generators
-# (each -fuzz run accepts exactly one target, hence one line per
-# target). CI runs this on every push; longer local sessions can raise
-# FUZZTIME.
+# Short native-fuzzing pass over the samplers, the graph generators and
+# the checkpoint decoder (each -fuzz run accepts exactly one target,
+# hence one line per target). CI runs this on every push; longer local
+# sessions can raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
@@ -124,5 +124,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzMultinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
 
 ci: vet build race bench-check

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/dist"
 	"repro/internal/dynamics"
 	"repro/internal/experiments"
 	"repro/internal/graph"
@@ -449,77 +448,6 @@ func BenchmarkDynamicEvents(b *testing.B) {
 				}
 			}
 			proto.Step(st, uint64(i+1), base)
-		}
-	})
-}
-
-func BenchmarkDistRuntime(b *testing.B) {
-	sys := mustSystem(b, mustClass(b, "torus"), 64)
-	n := sys.N()
-	counts, err := workload.AllOnOne(n, int64(200*n), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		st, err := core.NewUniformState(sys, counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := rng.New(1)
-		proto := core.Algorithm1{}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			proto.Step(st, uint64(i+1), base)
-		}
-	})
-	b.Run("forkjoin", func(b *testing.B) {
-		rt, err := dist.NewRuntime(sys, core.Algorithm1{}, counts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rt.Close()
-		base := rng.New(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.Round(uint64(i+1), base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("actors", func(b *testing.B) {
-		net, err := dist.NewNetwork(sys, counts, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer net.Close()
-		base := rng.New(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := net.Step(uint64(i+1), base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("forkjoin-weighted", func(b *testing.B) {
-		weights, err := task.RandomWeights(50*n, 0.1, 1, rng.New(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		perNode, err := workload.WeightedUniformRandom(n, weights, rng.New(5))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := dist.NewWeightedRuntime(sys, perNode, core.Algorithm2{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rt.Close()
-		base := rng.New(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.Round(uint64(i+1), base); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -133,8 +133,8 @@ func parseFlags(argv []string) (*flags, error) {
 	fs.StringVar(&fl.protocol, "protocol", "paper", "weighted protocol: paper|literal|baseline")
 	fs.StringVar(&fl.placement, "placement", "proportional", "initial placement: corner|random|proportional")
 
-	fs.StringVar(&fl.engine, "engine", "seq", "execution engine: seq|forkjoin|actor|shard|cluster")
-	fs.IntVar(&fl.distWorkers, "dist-workers", 0, "pin the forkjoin/shard worker-pool size (0 = all cores)")
+	fs.StringVar(&fl.engine, "engine", "seq", "execution engine: seq|shard|cluster")
+	fs.IntVar(&fl.distWorkers, "dist-workers", 0, "pin the shard worker-pool size (0 = all cores)")
 	fs.IntVar(&fl.shards, "shards", 0, "shard engine: partition count P (0 = worker count)")
 	fs.StringVar(&fl.shardStrategy, "shard-strategy", "contiguous", "shard engine: partition strategy contiguous|degree")
 
@@ -608,7 +608,7 @@ func buildInstance(fl *flags) (*instance, error) {
 				Psi0:     func() float64 { return psi0FromWeights(sys, raw.NodeWeights()) },
 			}
 		default:
-			// forkjoin: materialize state on demand (small-n engines only).
+			// cluster: materialize state on demand.
 			p = serve.Prober{
 				NodeLoad: func(i int) (float64, error) {
 					if i < 0 || i >= n {
@@ -637,7 +637,7 @@ func buildInstance(fl *flags) (*instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, counts, fl.seed, eo)
+		h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, counts, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -664,7 +664,7 @@ func buildInstance(fl *flags) (*instance, error) {
 				Psi0:     func() float64 { return psi0FromCounts(sys, raw.Counts()) },
 			}
 		default:
-			// forkjoin/actor: snapshot counts on demand.
+			// cluster: snapshot counts on demand.
 			speeds := sys.Speeds()
 			p = serve.Prober{
 				NodeLoad: func(i int) (float64, error) {
@@ -1020,7 +1020,7 @@ func verifyJournal(j *serve.Journal, engine string, eo harness.EngineOpts) error
 		if err != nil {
 			return err
 		}
-		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, j.Seed, eo)
+		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
 		if err != nil {
 			return err
 		}

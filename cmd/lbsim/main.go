@@ -7,7 +7,7 @@
 //	lbsim -graph ring -n 64 -tasks 6400 -seed 7
 //	lbsim -graph torus -n 100 -tasks 50000 -speeds twoclass -smax 4
 //	lbsim -graph hypercube -n 64 -model weighted -protocol baseline
-//	lbsim -graph torus -n 256 -engine forkjoin -trace 100
+//	lbsim -graph torus -n 256 -engine shard -trace 100
 //
 // With -rounds k the convergence phases are skipped and exactly k
 // protocol rounds run, reporting throughput — the scale mode for the
@@ -26,7 +26,7 @@
 // of convergence phases:
 //
 //	lbsim -graph torus -n 64 -arrivals 32 -departures 0.6 -horizon 500
-//	lbsim -graph ring -n 32 -arrivals 16 -departures 0.7 -churn 100 -engine actor
+//	lbsim -graph ring -n 32 -arrivals 16 -departures 0.7 -churn 100 -engine shard
 package main
 
 import (
@@ -67,7 +67,7 @@ func run() error {
 		speedsArg = flag.String("speeds", "uniform", "speed profile: uniform|twoclass|integers")
 		smax      = flag.Float64("smax", 4, "maximum speed for non-uniform profiles")
 		model     = flag.String("model", "uniform", "task model: uniform|weighted")
-		engine    = flag.String("engine", "seq", "execution engine: seq|forkjoin|actor|shard|cluster; see the engine matrix in README.md (identical trajectories)")
+		engine    = flag.String("engine", "seq", "execution engine: seq|shard|cluster; see the engine matrix in README.md (identical trajectories)")
 		protocol  = flag.String("protocol", "paper", "weighted protocol: paper|literal|baseline")
 		eps       = flag.Float64("eps", 0.25, "epsilon for the approximate-NE stop")
 		maxRounds = flag.Int("maxrounds", 2_000_000, "safety cap on rounds")
@@ -76,7 +76,7 @@ func run() error {
 		analyze   = flag.Bool("analyze", false, "print a state diagnostic after each phase (uniform model)")
 
 		fixedRounds   = flag.Int("rounds", 0, "run exactly k protocol rounds instead of the convergence phases (reports throughput; the scale mode for either model)")
-		distWorkers   = flag.Int("dist-workers", 0, "pin the forkjoin/shard worker-pool size (0 = all cores; identical trajectories)")
+		distWorkers   = flag.Int("dist-workers", 0, "pin the shard worker-pool size (0 = all cores; identical trajectories)")
 		shards        = flag.Int("shards", 0, "shard engine: partition count P (0 = worker count)")
 		shardStrategy = flag.String("shard-strategy", "contiguous", "shard engine: partition strategy contiguous|degree")
 

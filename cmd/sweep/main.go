@@ -49,7 +49,7 @@ func run() error {
 		workers    = flag.Int("workers", 0, "concurrent jobs (0 = all cores)")
 		horizon    = flag.Int("horizon", 400, "dynamic: rounds of continuous traffic")
 		churnEvery = flag.Int("churnevery", 0, "dynamic: leave/join every k rounds (0 = no churn)")
-		engine     = flag.String("engine", "seq", "dynamic/weighted: execution engine seq|forkjoin|actor|shard|cluster (see the engine matrix in README.md; identical trajectories)")
+		engine     = flag.String("engine", "seq", "dynamic/weighted: execution engine seq|shard|cluster (see the engine matrix in README.md; identical trajectories)")
 	)
 	flag.Parse()
 

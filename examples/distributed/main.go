@@ -1,9 +1,11 @@
-// Command distributed runs the protocol on the message-passing actor
-// runtime: one goroutine per processor, channels as network links, loads
-// and migrations exchanged strictly along graph edges — the paper's
-// locality model made literal. It then verifies that the concurrent
-// execution reproduces the sequential engine's trajectory bit-for-bit
-// under the same seed (the determinism property package dist guarantees).
+// Command distributed runs the protocol on a coordinator/worker cluster:
+// the network is split into shards, each owned by a worker that speaks
+// the length-prefixed wire protocol over its own in-memory connection
+// (net.Pipe), so every round's loads, migrations and barriers travel as
+// encoded frames — the same protocol cmd/lbshard runs across processes.
+// It then verifies that the distributed execution reproduces the
+// sequential engine's trajectory bit-for-bit under the same seed (node
+// i's round-r randomness depends only on (seed, r, i)).
 package main
 
 import (
@@ -11,10 +13,10 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
@@ -46,25 +48,26 @@ func run() error {
 		return err
 	}
 
-	// Actor network: n goroutines, 2·deg messages per node per round.
-	net, err := dist.NewNetwork(sys, counts, 0)
+	// Cluster: one coordinator and shards workers, each behind a pipe.
+	const shards = 4
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: shards})
 	if err != nil {
 		return err
 	}
-	defer net.Close()
+	defer cl.Close()
 
-	// The actor network is a core.Engine, so the shared driver gives it
-	// stop conditions and potential tracing exactly like the sequential
-	// engine — one Drive call replaces the bespoke run loop.
+	// The cluster is a core.Engine, so the shared driver gives it stop
+	// conditions and potential tracing exactly like the sequential
+	// engine — one Drive call replaces a bespoke run loop.
 	const seed = 7
-	fmt.Printf("network: %s with %d processor goroutines\n", g, n)
-	res, err := core.Drive[*core.UniformState](net, core.StopAtNash(),
+	fmt.Printf("network: %s on %d wire-protocol workers\n", g, shards)
+	res, err := core.Drive[*core.UniformState](cl, core.StopAtNash(),
 		core.RunOpts{MaxRounds: 500_000, Seed: seed, TraceEvery: 2000})
 	if err != nil {
 		return err
 	}
 	rounds := res.Rounds
-	fmt.Printf("actors:  exact NE after %d rounds (converged=%v, %d moves)\n", rounds, res.Converged, res.Moves)
+	fmt.Printf("cluster: exact NE after %d rounds (converged=%v, %d moves)\n", rounds, res.Converged, res.Moves)
 	for _, p := range res.Trace {
 		fmt.Printf("trace:   round %6d  Ψ₀=%-12.4g L_Δ=%.3f\n", p.Round, p.Psi0, p.LDelta)
 	}
@@ -79,8 +82,12 @@ func run() error {
 	for r := 1; r <= rounds; r++ {
 		proto.Step(seq, uint64(r), base)
 	}
+	final, err := cl.Counts()
+	if err != nil {
+		return err
+	}
 	mismatch := 0
-	for i, c := range net.Counts() {
+	for i, c := range final {
 		if c != seq.Count(i) {
 			mismatch++
 		}
@@ -91,7 +98,7 @@ func run() error {
 		fmt.Printf("replay:  %d nodes differ (unexpected!)\n", mismatch)
 	}
 
-	st, err := net.State()
+	st, err := cl.State()
 	if err != nil {
 		return err
 	}

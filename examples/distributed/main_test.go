@@ -7,13 +7,13 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestRunSmoke executes the actor-network example end to end. Its
-// output is itself the acceptance check for the dist engines: the
-// sequential replay of the concurrent run must match exactly.
+// TestRunSmoke executes the cluster example end to end. Its output is
+// itself an acceptance check for the wire protocol: the sequential
+// replay of the distributed run must match exactly.
 func TestRunSmoke(t *testing.T) {
 	out := testutil.CaptureStdout(t, run)
 	for _, want := range []string{
-		"processor goroutines",
+		"wire-protocol workers",
 		"exact NE after",
 		"sequential engine reproduced the concurrent trajectory exactly",
 		"NE=true",

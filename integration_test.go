@@ -11,14 +11,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/spectral"
 	"repro/internal/task"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -78,15 +77,9 @@ func TestEndToEndUniformAllClasses(t *testing.T) {
 				t.Errorf("Observation 3.16 violated: L_Δ²=%g Ψ₀=%g S·L_Δ²=%g", ld*ld, psi, sys.STotal()*ld*ld)
 			}
 
-			// Trace serialization round-trip.
-			if len(res.Trace) > 0 {
-				sum, err := trace.Summarize(res.Trace)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sum.Psi0Start < sum.Psi0End {
-					t.Error("potential grew over phase 1")
-				}
+			// The potential must not grow over phase 1.
+			if len(res.Trace) > 0 && res.Trace[0].Psi0 < res.Trace[len(res.Trace)-1].Psi0 {
+				t.Error("potential grew over phase 1")
 			}
 
 			// Phase 2 to the exact NE within the Theorem 1.2 budget.
@@ -159,8 +152,8 @@ func TestEndToEndWeightedPipeline(t *testing.T) {
 }
 
 // TestEnginesAgreeEndToEnd runs the same instance on the sequential
-// engine, the fork–join runtime and the actor network and demands
-// identical final states.
+// engine, the shard engine and the in-process cluster (every frame over
+// the wire protocol) and demands identical final states.
 func TestEnginesAgreeEndToEnd(t *testing.T) {
 	g, err := graph.Hypercube(4)
 	if err != nil {
@@ -191,35 +184,34 @@ func TestEnginesAgreeEndToEnd(t *testing.T) {
 		proto.Step(seq, r, base)
 	}
 
-	rt, err := dist.NewRuntime(sys, core.Algorithm1{}, counts)
+	eng, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	baseRT := rng.New(seed)
-	for r := uint64(1); r <= rounds; r++ {
-		if _, err := rt.Round(r, baseRT); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	net, err := dist.NewNetwork(sys, counts, 0)
+	defer eng.Close()
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
-	baseNet := rng.New(seed)
-	for r := uint64(1); r <= rounds; r++ {
-		if _, err := net.Step(r, baseNet); err != nil {
-			t.Fatal(err)
+	defer cl.Close()
+	for _, e := range []core.Engine[*core.UniformState]{eng, cl} {
+		base := rng.New(seed)
+		for r := uint64(1); r <= rounds; r++ {
+			if _, err := e.Step(r, base); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	rtCounts, netCounts := rt.Counts(), net.Counts()
+	clCounts, err := cl.Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCounts := eng.Counts()
 	for i := 0; i < n; i++ {
-		if seq.Count(i) != rtCounts[i] || seq.Count(i) != netCounts[i] {
-			t.Fatalf("engines disagree at node %d: seq=%d forkjoin=%d actors=%d",
-				i, seq.Count(i), rtCounts[i], netCounts[i])
+		if seq.Count(i) != shardCounts[i] || seq.Count(i) != clCounts[i] {
+			t.Fatalf("engines disagree at node %d: seq=%d shard=%d cluster=%d",
+				i, seq.Count(i), shardCounts[i], clCounts[i])
 		}
 	}
 }

@@ -10,9 +10,9 @@
 //
 // All randomness flows through deterministic splittable streams
 // (package rng): the per-round, per-node stream used for node i in round
-// t depends only on (seed, t, i), so the sequential engine here and the
-// goroutine-per-processor runtime in package dist generate identical
-// trajectories for the same seed.
+// t depends only on (seed, t, i), so the sequential engine here, the
+// parallel shard engine and the multi-process cluster in package shard
+// generate identical trajectories for the same seed.
 package core
 
 import (

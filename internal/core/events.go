@@ -213,11 +213,9 @@ type EventStepper interface {
 
 // ApplyCountsBatch applies the uniform-model part of batch to counts in
 // place: arrivals first, then departures clamped to the tasks present.
-// delta, when non-nil, additionally accumulates the net per-node change
-// (used by engines that forward workload deltas to remote owners, e.g.
-// the actor network). It is the single source of truth for uniform event
-// application, shared by the sequential state and the dist engines.
-func ApplyCountsBatch(counts []int64, batch *EventBatch, delta []int64) (EventLedger, error) {
+// It is the single source of truth for uniform event application,
+// shared by the sequential state and the shard engine.
+func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {
 		return led, nil
@@ -238,9 +236,6 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch, delta []int64) (EventLe
 		}
 		counts[i] += a
 		led.Arrived += a
-		if delta != nil {
-			delta[i] += a
-		}
 	}
 	for i, d := range batch.Departures {
 		if d < 0 {
@@ -254,9 +249,6 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch, delta []int64) (EventLe
 		}
 		counts[i] -= d
 		led.Departed += d
-		if delta != nil {
-			delta[i] -= d
-		}
 	}
 	return led, nil
 }
@@ -291,7 +283,7 @@ func (st *UniformState) Drain(i int, k int64) int64 {
 // ApplyEvents implements the uniform-model event application on the
 // sequential state; see ApplyCountsBatch for the semantics.
 func (st *UniformState) ApplyEvents(batch *EventBatch) (EventLedger, error) {
-	led, err := ApplyCountsBatch(st.counts, batch, nil)
+	led, err := ApplyCountsBatch(st.counts, batch)
 	st.total += led.Arrived - led.Departed
 	return led, err
 }

@@ -55,11 +55,10 @@ func TestUniformInjectDrain(t *testing.T) {
 
 func TestApplyCountsBatch(t *testing.T) {
 	counts := []int64{5, 0, 2}
-	delta := make([]int64, 3)
 	led, err := ApplyCountsBatch(counts, &EventBatch{
 		Arrivals:   []int64{1, 2, 0},
 		Departures: []int64{10, 1, 0},
-	}, delta)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +72,10 @@ func TestApplyCountsBatch(t *testing.T) {
 	if led.Arrived != 3 || led.Departed != 7 {
 		t.Fatalf("ledger %+v, want arrived 3 departed 7", led)
 	}
-	wantDelta := []int64{-5, 1, 0}
-	for i := range wantDelta {
-		if delta[i] != wantDelta[i] {
-			t.Fatalf("delta[%d] = %d, want %d", i, delta[i], wantDelta[i])
-		}
-	}
-	if _, err := ApplyCountsBatch(counts, &EventBatch{Arrivals: []int64{1}}, nil); err == nil {
+	if _, err := ApplyCountsBatch(counts, &EventBatch{Arrivals: []int64{1}}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := ApplyCountsBatch(counts, &EventBatch{Arrivals: []int64{-1, 0, 0}}, nil); err == nil {
+	if _, err := ApplyCountsBatch(counts, &EventBatch{Arrivals: []int64{-1, 0, 0}}); err == nil {
 		t.Error("negative arrival accepted")
 	}
 }

@@ -82,9 +82,8 @@ type State interface {
 // value is a read-only view that is valid until the next Step.
 //
 // The sequential protocols implement Engine through the adapters behind
-// RunUniform/RunWeighted; the concurrent engines in package dist
-// (fork–join Runtime, actor Network, WeightedRuntime) implement it
-// directly. Because every engine draws node i's round-r randomness from
+// RunUniform/RunWeighted; the shard engines and clusters in package
+// shard implement it directly. Because every engine draws node i's round-r randomness from
 // base.At(r, i), driving any of them through Drive with the same seed
 // yields bit-identical trajectories — and therefore identical
 // RunResults and traces.

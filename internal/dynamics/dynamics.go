@@ -8,8 +8,8 @@
 // rng.New(Seed).At(r, channel), one channel constant per event kind —
 // so a Workload is a pure function of (Seed, round, static instance
 // data). The driver applies the batch for round r immediately before
-// the protocol's round-r decisions on every engine (sequential,
-// fork–join, actor), which keeps dynamic trajectories bit-identical
+// the protocol's round-r decisions on every engine (sequential, shard,
+// cluster), which keeps dynamic trajectories bit-identical
 // across engines exactly like static ones.
 package dynamics
 

@@ -41,8 +41,8 @@ type WeightedComparison struct {
 // seeds depend only on (seed, repetition), so both protocols see
 // identical instances and the result is independent of workers. engine
 // ("" means seq) selects the execution engine per protocol run; a
-// protocol the engine cannot execute (the baseline does not factorize
-// into per-node decisions) falls back to seq, which is trajectory-
+// protocol the engine cannot execute (the baseline does not decide
+// against flat state) falls back to seq, which is trajectory-
 // neutral — every engine runs the identical trajectory.
 func CompareWeighted(class GraphClass, n, tasksPerNode int, eps float64, repeats int, seed uint64, workers int, engine string) (WeightedComparison, error) {
 	g, err := class.Build(n)

@@ -197,8 +197,8 @@ func TestMeasureSweepInvariance(t *testing.T) {
 		opts MeasureOpts
 	}{
 		{"workers=4", MeasureOpts{Sizes: base.Sizes, TasksPerNode: 16, Repeats: 2, Seed: 5, Workers: 4}},
-		{"engine=forkjoin", MeasureOpts{Sizes: base.Sizes, TasksPerNode: 16, Repeats: 2, Seed: 5, Workers: 4, Engine: "forkjoin"}},
-		{"engine=actor", MeasureOpts{Sizes: base.Sizes, TasksPerNode: 16, Repeats: 2, Seed: 5, Workers: 2, Engine: "actor"}},
+		{"engine=shard", MeasureOpts{Sizes: base.Sizes, TasksPerNode: 16, Repeats: 2, Seed: 5, Workers: 4, Engine: "shard"}},
+		{"engine=cluster", MeasureOpts{Sizes: base.Sizes, TasksPerNode: 16, Repeats: 2, Seed: 5, Workers: 2, Engine: "cluster"}},
 	} {
 		got, err := MeasureApproxPhase(class, variant.opts)
 		if err != nil {

@@ -128,8 +128,8 @@ type MeasureOpts struct {
 	// Workers bounds the number of concurrently executing repetitions
 	// (≤ 0 means GOMAXPROCS). Results are identical for any value.
 	Workers int
-	// Engine selects the execution engine per run — seq, forkjoin or
-	// actor (default seq). All engines run through the shared driver
+	// Engine selects the execution engine per run — seq, shard or
+	// cluster (default seq). All engines run through the shared driver
 	// and produce identical trajectories.
 	Engine string
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/shard"
 	"repro/internal/task"
 )
@@ -13,18 +12,11 @@ import (
 // Engine names accepted by the dispatchers. Every engine draws node i's
 // round-r randomness from the same (seed, r, i)-keyed stream, so for a
 // given seed all of them execute the identical trajectory — the choice
-// only affects how the rounds are computed (one goroutine, a fork–join
-// worker pool, one actor per processor, or a CSR-sharded two-phase
-// pipeline).
+// only affects how the rounds are computed (one goroutine, a CSR-sharded
+// two-phase pipeline, or coordinator and workers over the wire).
 const (
 	// EngineSeq is the sequential reference engine in package core.
 	EngineSeq = "seq"
-	// EngineForkJoin is the worker-pool engine dist.Runtime (uniform)
-	// or dist.WeightedRuntime (weighted).
-	EngineForkJoin = "forkjoin"
-	// EngineActor is the goroutine-per-processor engine dist.Network
-	// (uniform tasks only).
-	EngineActor = "actor"
 	// EngineShard is the CSR-backed sharded engine (shard.Engine for
 	// uniform tasks, shard.WeightedEngine for weighted ones), built for
 	// 10⁵⁺-node instances.
@@ -40,28 +32,24 @@ const (
 
 // UniformEngines lists the engine names RunUniformEngine accepts.
 func UniformEngines() []string {
-	return []string{EngineSeq, EngineForkJoin, EngineActor, EngineShard, EngineCluster}
+	return []string{EngineSeq, EngineShard, EngineCluster}
 }
 
 // WeightedEngines lists the engine names RunWeightedEngine accepts.
 func WeightedEngines() []string {
-	return []string{EngineSeq, EngineForkJoin, EngineShard, EngineCluster}
+	return []string{EngineSeq, EngineShard, EngineCluster}
 }
 
 // WeightedEngineSupports reports whether the named engine can execute
-// the given weighted protocol: forkjoin needs a round that factorizes
-// into per-node decisions (core.WeightedNodeProtocol), shard
-// additionally needs the decision to run against flat state
-// (core.WeightedFlatProtocol); seq executes anything. Experiments that
-// race several protocols on one engine use this to fall back to seq for
-// the ones an engine cannot run.
+// the given weighted protocol: shard needs a round that factorizes into
+// per-node decisions against flat state (core.WeightedFlatProtocol),
+// cluster additionally needs the protocol registered on the wire; seq
+// executes anything. Experiments that race several protocols on one
+// engine use this to fall back to seq for the ones an engine cannot run.
 func WeightedEngineSupports(engine string, proto core.WeightedProtocol) bool {
 	switch engine {
 	case "", EngineSeq:
 		return true
-	case EngineForkJoin:
-		_, ok := proto.(core.WeightedNodeProtocol)
-		return ok
 	case EngineShard:
 		_, ok := proto.(core.WeightedFlatProtocol)
 		return ok
@@ -78,8 +66,8 @@ func WeightedEngineSupports(engine string, proto core.WeightedProtocol) bool {
 // computes: every combination yields the bit-identical trajectory, so
 // these knobs are free to vary per benchmark or deployment.
 type EngineOpts struct {
-	// Workers pins the worker-pool size for the forkjoin and shard
-	// engines (≤ 0 means GOMAXPROCS).
+	// Workers pins the shard engine's worker-pool size (≤ 0 means
+	// GOMAXPROCS).
 	Workers int
 	// Shards sets the shard engine's partition count P (0 means
 	// Workers).
@@ -110,21 +98,6 @@ func (eo EngineOpts) Resolved(engine string, n int) EngineOpts {
 	switch engine {
 	case "", EngineSeq:
 		return EngineOpts{Workers: 1}
-	case EngineActor:
-		// One goroutine per processor.
-		return EngineOpts{Workers: n}
-	case EngineForkJoin:
-		w := eo.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > n {
-			w = n
-		}
-		if w < 1 {
-			w = 1
-		}
-		return EngineOpts{Workers: w}
 	case EngineShard:
 		w := eo.Workers
 		if w <= 0 {
@@ -190,10 +163,8 @@ type UniformEngineHandle struct {
 }
 
 // BuildUniformEngine constructs the named uniform engine ("" means seq)
-// without running it. seed is only consulted by the actor engine, whose
-// per-processor goroutines pre-derive their streams at construction;
-// pass the RunOpts.Seed the engine will be driven with.
-func BuildUniformEngine(engine string, sys *core.System, proto core.UniformNodeProtocol, counts []int64, seed uint64, eo EngineOpts) (*UniformEngineHandle, error) {
+// without running it.
+func BuildUniformEngine(engine string, sys *core.System, proto core.UniformNodeProtocol, counts []int64, eo EngineOpts) (*UniformEngineHandle, error) {
 	switch engine {
 	case "", EngineSeq:
 		st, err := core.NewUniformState(sys, counts)
@@ -205,18 +176,6 @@ func BuildUniformEngine(engine string, sys *core.System, proto core.UniformNodeP
 			return nil, err
 		}
 		return &UniformEngineHandle{Engine: eng, Counts: st.Counts, Raw: st, Close: func() error { return nil }}, nil
-	case EngineForkJoin:
-		rt, err := dist.NewRuntime(sys, proto, counts, dist.WithWorkers(eo.Workers))
-		if err != nil {
-			return nil, err
-		}
-		return &UniformEngineHandle{Engine: rt, Counts: rt.Counts, Raw: rt, Close: rt.Close}, nil
-	case EngineActor:
-		nw, err := dist.NewNetworkWith(sys, counts, seed, proto)
-		if err != nil {
-			return nil, err
-		}
-		return &UniformEngineHandle{Engine: nw, Counts: nw.Counts, Raw: nw, Close: nw.Close}, nil
 	case EngineShard:
 		eng, err := shard.New(sys, proto, counts, shard.Options{
 			Shards:   eo.Shards,
@@ -249,7 +208,7 @@ func BuildUniformEngine(engine string, sys *core.System, proto core.UniformNodeP
 			Close: cl.Close,
 		}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown uniform engine %q (want seq|forkjoin|actor|shard|cluster)", engine)
+		return nil, fmt.Errorf("harness: unknown uniform engine %q (want seq|shard|cluster)", engine)
 	}
 }
 
@@ -265,7 +224,7 @@ func RunUniformEngine(engine string, sys *core.System, proto core.UniformNodePro
 // the run result together with the final per-node task counts (valid on
 // the ErrMaxRounds path too, so callers can chain phases).
 func RunUniformEngineOpts(engine string, sys *core.System, proto core.UniformNodeProtocol, counts []int64, stop core.UniformStop, opts core.RunOpts, eo EngineOpts) (core.RunResult, []int64, error) {
-	h, err := BuildUniformEngine(engine, sys, proto, counts, opts.Seed, eo)
+	h, err := BuildUniformEngine(engine, sys, proto, counts, eo)
 	if err != nil {
 		return core.RunResult{}, nil, err
 	}
@@ -286,11 +245,9 @@ func RunWeightedEngine(engine string, sys *core.System, proto core.WeightedProto
 
 // RunWeightedEngineOpts runs one weighted-task simulation on the named
 // engine ("" means seq) through the shared core.Drive loop, and returns
-// the run result together with the final weighted state. The forkjoin
-// engine requires a protocol whose round factorizes into per-node
-// decisions (core.WeightedNodeProtocol); the shard engine additionally
-// requires the decision to run against flat state
-// (core.WeightedFlatProtocol, e.g. Algorithm 2). See
+// the run result together with the final weighted state. The shard and
+// cluster engines require a protocol whose per-node decision runs
+// against flat state (core.WeightedFlatProtocol, e.g. Algorithm 2). See
 // WeightedEngineSupports.
 func RunWeightedEngineOpts(engine string, sys *core.System, proto core.WeightedProtocol, perNode []task.Weights, stop core.WeightedStop, opts core.RunOpts, eo EngineOpts) (core.RunResult, *core.WeightedState, error) {
 	h, err := BuildWeightedEngine(engine, sys, proto, perNode, eo)
@@ -326,8 +283,7 @@ type WeightedEngineHandle struct {
 }
 
 // BuildWeightedEngine constructs the named weighted engine ("" means
-// seq) without running it. The forkjoin engine requires a
-// core.WeightedNodeProtocol, the shard engine a
+// seq) without running it. The shard and cluster engines require a
 // core.WeightedFlatProtocol; see WeightedEngineSupports.
 func BuildWeightedEngine(engine string, sys *core.System, proto core.WeightedProtocol, perNode []task.Weights, eo EngineOpts) (*WeightedEngineHandle, error) {
 	switch engine {
@@ -346,16 +302,6 @@ func BuildWeightedEngine(engine string, sys *core.System, proto core.WeightedPro
 			Raw:    st,
 			Close:  func() error { return nil },
 		}, nil
-	case EngineForkJoin:
-		np, ok := proto.(core.WeightedNodeProtocol)
-		if !ok {
-			return nil, fmt.Errorf("harness: protocol %s does not factorize into per-node decisions; the forkjoin engine requires a core.WeightedNodeProtocol", proto.Name())
-		}
-		rt, err := dist.NewWeightedRuntime(sys, perNode, np, dist.WithWorkers(eo.Workers))
-		if err != nil {
-			return nil, err
-		}
-		return &WeightedEngineHandle{Engine: rt, State: rt.State, Raw: rt, Close: rt.Close}, nil
 	case EngineShard:
 		fp, ok := proto.(core.WeightedFlatProtocol)
 		if !ok {
@@ -385,6 +331,6 @@ func BuildWeightedEngine(engine string, sys *core.System, proto core.WeightedPro
 		}
 		return &WeightedEngineHandle{Engine: cl, State: cl.State, Raw: cl, Close: cl.Close}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown weighted engine %q (want seq|forkjoin|shard|cluster)", engine)
+		return nil, fmt.Errorf("harness: unknown weighted engine %q (want seq|shard|cluster)", engine)
 	}
 }

@@ -11,29 +11,29 @@ import (
 	"repro/internal/task"
 )
 
-// TestEngineLists pins the dispatcher's engine menus: every uniform
-// engine plus the weighted list, shard and cluster included since the
-// respective engines landed.
+// TestEngineLists pins the dispatcher's engine menus: both task models
+// run on exactly the sequential reference, the shard engine and the
+// cluster.
 func TestEngineLists(t *testing.T) {
-	wantU := []string{EngineSeq, EngineForkJoin, EngineActor, EngineShard, EngineCluster}
-	if got := UniformEngines(); len(got) != len(wantU) {
-		t.Fatalf("UniformEngines() = %v", got)
-	}
-	wantW := []string{EngineSeq, EngineForkJoin, EngineShard, EngineCluster}
-	got := WeightedEngines()
-	if len(got) != len(wantW) {
-		t.Fatalf("WeightedEngines() = %v, want %v", got, wantW)
-	}
-	for i := range wantW {
-		if got[i] != wantW[i] {
-			t.Fatalf("WeightedEngines()[%d] = %q, want %q", i, got[i], wantW[i])
+	want := []string{EngineSeq, EngineShard, EngineCluster}
+	for name, got := range map[string][]string{
+		"UniformEngines":  UniformEngines(),
+		"WeightedEngines": WeightedEngines(),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s() = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s()[%d] = %q, want %q", name, i, got[i], want[i])
+			}
 		}
 	}
 }
 
 // TestWeightedEngineSupports pins the capability matrix the experiments
-// use for engine fallback: seq runs anything, forkjoin needs a
-// node-decomposable protocol, shard needs a flat-decidable one.
+// use for engine fallback: seq runs anything, shard needs a
+// flat-decidable protocol, cluster one registered on the wire.
 func TestWeightedEngineSupports(t *testing.T) {
 	cases := []struct {
 		engine string
@@ -42,8 +42,6 @@ func TestWeightedEngineSupports(t *testing.T) {
 	}{
 		{"", core.BaselineWeighted{}, true},
 		{EngineSeq, core.BaselineWeighted{}, true},
-		{EngineForkJoin, core.Algorithm2{}, true},
-		{EngineForkJoin, core.BaselineWeighted{}, false},
 		{EngineShard, core.Algorithm2{}, true},
 		{EngineShard, core.BaselineWeighted{}, false},
 		{EngineShard, core.Algorithm2Literal{}, false},
@@ -51,6 +49,7 @@ func TestWeightedEngineSupports(t *testing.T) {
 		{EngineCluster, core.BaselineWeighted{}, false},
 		{EngineCluster, core.Algorithm2Literal{}, false},
 		{"warp", core.Algorithm2{}, false},
+		{"forkjoin", core.Algorithm2{}, false},
 	}
 	for _, c := range cases {
 		if got := WeightedEngineSupports(c.engine, c.proto); got != c.want {
@@ -86,9 +85,6 @@ func TestEngineOptsResolved(t *testing.T) {
 	}{
 		{"seq-defaults", EngineOpts{}, EngineSeq, 100, EngineOpts{Workers: 1}},
 		{"seq-ignores-flags", EngineOpts{Workers: 9, Shards: 4}, EngineSeq, 100, EngineOpts{Workers: 1}},
-		{"actor-one-per-node", EngineOpts{}, EngineActor, 24, EngineOpts{Workers: 24}},
-		{"forkjoin-defaults", EngineOpts{}, EngineForkJoin, 1000, EngineOpts{Workers: procs}},
-		{"forkjoin-capped-at-n", EngineOpts{Workers: 64}, EngineForkJoin, 8, EngineOpts{Workers: 8}},
 		{"shard-defaults", EngineOpts{}, EngineShard, 1000,
 			EngineOpts{Workers: procs, Shards: procs, Strategy: "contiguous"}},
 		{"shard-explicit", EngineOpts{Workers: 2, Shards: 5, Strategy: "degree"}, EngineShard, 1000,

@@ -12,10 +12,10 @@
 //
 // The package sits below internal/experiments (which declares the
 // paper's evaluation as matrices) and above internal/core and
-// internal/dist: the engine dispatchers RunUniformEngine and
-// RunWeightedEngine run any cell on the sequential engine or on the
-// concurrent engines of package dist, all through the shared core.Drive
-// loop, so stop conditions and traces behave identically everywhere.
+// internal/shard: the engine dispatchers RunUniformEngine and
+// RunWeightedEngine run any cell on the sequential engine, the shard
+// engine or the cluster, all through the shared core.Drive loop, so stop
+// conditions and traces behave identically everywhere.
 package harness
 
 import (

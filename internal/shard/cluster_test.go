@@ -511,4 +511,12 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 		fixCRCTrailer(b)
 		return b
 	}, "bad magic")
+	corrupt("huge-shard-count", func(b []byte) []byte {
+		// The shard count follows magic, version, model, the
+		// length-prefixed protocol name and alpha.
+		off := 4 + 1 + 1 + 4 + int(binary.LittleEndian.Uint32(b[6:])) + 8
+		binary.LittleEndian.PutUint32(b[off:], 1<<31)
+		fixCRCTrailer(b)
+		return b
+	}, "shard count")
 }

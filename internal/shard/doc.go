@@ -1,8 +1,7 @@
-// Package shard is the large-scale execution engine: the fourth engine
-// of the simulator (after the sequential reference, the fork–join
-// runtime and the actor network), built for instances of 10⁵–10⁷
-// nodes where the others' pointer-heavy state and per-round
-// allocations dominate.
+// Package shard is the parallel and distributed execution engine of the
+// simulator (next to the sequential reference in package core), built
+// for instances of 10⁵–10⁷ nodes where the reference's pointer-heavy
+// state and per-round allocations dominate.
 //
 // Three layers:
 //

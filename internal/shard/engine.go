@@ -355,7 +355,7 @@ func (e *Engine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	if e.closed {
 		return core.EventLedger{}, ErrClosed
 	}
-	return core.ApplyCountsBatch(e.counts, batch, nil)
+	return core.ApplyCountsBatch(e.counts, batch)
 }
 
 // State implements core.Engine by materializing the flat counts as a

@@ -93,49 +93,19 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 	if err != nil {
 		return fmt.Errorf("shard: checkpoint gather: %w", err)
 	}
-	var b transport.Buffer
-	b.PutU32(checkpointMagic)
-	b.PutU8(checkpointVersion)
-	b.PutU8(c.model)
-	b.PutString(c.proto)
-	b.PutF64(c.alpha)
-	b.PutU32(uint32(c.p))
-	b.PutString(string(c.strategy))
-	b.PutString(c.csr.Name())
-	b.PutU32(uint32(c.n))
-	b.PutI32s(c.csr.Offsets())
-	b.PutI32s(c.csr.Adj())
-	b.PutF64s(c.sys.Speeds())
-	b.PutF64(c.sys.Lambda2())
-	b.PutU64(opts.Seed)
-	b.PutI64(int64(opts.MaxRounds))
-	b.PutI64(int64(opts.TraceEvery))
-	b.PutI64(int64(round))
-	b.PutF64(c.totalW)
-	b.PutI64(c.count)
-	b.PutI64(c.sinceRecompute)
-	b.PutI64(int64(res.Rounds))
-	b.PutI64(res.Moves)
-	b.PutU32(uint32(len(res.Trace)))
-	for _, tp := range res.Trace {
-		b.PutI64(int64(tp.Round))
-		b.PutF64(tp.Psi0)
-		b.PutF64(tp.Psi1)
-		b.PutF64(tp.LDelta)
-		b.PutI64(tp.Moves)
+	ck := &Checkpoint{
+		model: c.model, proto: c.proto, alpha: c.alpha, p: c.p, strategy: c.strategy,
+		csrName: c.csr.Name(), n: c.n, offsets: c.csr.Offsets(), adj: c.csr.Adj(),
+		speeds: c.sys.Speeds(), lambda2: c.sys.Lambda2(),
+		Seed: opts.Seed, MaxRounds: opts.MaxRounds, TraceEvery: opts.TraceEvery, Round: round,
+		totalW: c.totalW, count: c.count, sinceRecompute: c.sinceRecompute,
+		res: *res, lastTraced: lastTraced, states: states,
 	}
-	b.PutI64(int64(lastTraced))
-	for _, st := range states {
-		encodeOwnState(&b, c.model, st)
-	}
-	// CRC32 trailer over the whole body: a flipped byte in a float would
-	// otherwise decode silently.
-	b.B = binary.LittleEndian.AppendUint32(b.B, crc32.ChecksumIEEE(b.B))
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b.B); err != nil {
+	if _, err := tmp.Write(ck.encode()); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -152,152 +122,208 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 	return nil
 }
 
-// ReadCheckpoint decodes and validates a checkpoint file. Truncated or
-// corrupt files fail loudly: every length is bounds-checked during
-// decode, trailing garbage is rejected, and the graph is revalidated on
-// resume (NewCSR re-checks the CSR invariants).
+// encode serializes ck in the LBCK layout, followed by a CRC32 trailer
+// over the whole body: a flipped byte in a float would otherwise decode
+// silently. decodeCheckpoint is its inverse.
+func (ck *Checkpoint) encode() []byte {
+	var b transport.Buffer
+	b.PutU32(checkpointMagic)
+	b.PutU8(checkpointVersion)
+	b.PutU8(ck.model)
+	b.PutString(ck.proto)
+	b.PutF64(ck.alpha)
+	b.PutU32(uint32(ck.p))
+	b.PutString(string(ck.strategy))
+	b.PutString(ck.csrName)
+	b.PutU32(uint32(ck.n))
+	b.PutI32s(ck.offsets)
+	b.PutI32s(ck.adj)
+	b.PutF64s(ck.speeds)
+	b.PutF64(ck.lambda2)
+	b.PutU64(ck.Seed)
+	b.PutI64(int64(ck.MaxRounds))
+	b.PutI64(int64(ck.TraceEvery))
+	b.PutI64(int64(ck.Round))
+	b.PutF64(ck.totalW)
+	b.PutI64(ck.count)
+	b.PutI64(ck.sinceRecompute)
+	b.PutI64(int64(ck.res.Rounds))
+	b.PutI64(ck.res.Moves)
+	b.PutU32(uint32(len(ck.res.Trace)))
+	for _, tp := range ck.res.Trace {
+		b.PutI64(int64(tp.Round))
+		b.PutF64(tp.Psi0)
+		b.PutF64(tp.Psi1)
+		b.PutF64(tp.LDelta)
+		b.PutI64(tp.Moves)
+	}
+	b.PutI64(int64(ck.lastTraced))
+	for _, st := range ck.states {
+		encodeOwnState(&b, ck.model, st)
+	}
+	return binary.LittleEndian.AppendUint32(b.B, crc32.ChecksumIEEE(b.B))
+}
+
+// ReadCheckpoint reads and decodes a checkpoint file; see
+// decodeCheckpoint for the validation it performs.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Checkpoint, error) {
+	ck, err := decodeCheckpoint(raw)
+	if err != nil {
 		return nil, fmt.Errorf("shard: checkpoint %s: %w", path, err)
 	}
+	return ck, nil
+}
+
+// decodeCheckpoint decodes and validates the bytes of a checkpoint file.
+// Truncated or corrupt input fails loudly and never over-allocates:
+// every length is bounds-checked against the bytes that remain before
+// anything is allocated, trailing garbage is rejected, and the graph is
+// revalidated on resume (NewCSR re-checks the CSR invariants).
+func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(raw) < 4 {
-		return fail(fmt.Errorf("file too short (%d bytes)", len(raw)))
+		return nil, fmt.Errorf("file too short (%d bytes)", len(raw))
 	}
 	body, trailer := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if sum := crc32.ChecksumIEEE(body); sum != trailer {
-		return fail(fmt.Errorf("checksum mismatch (file %#x, computed %#x)", trailer, sum))
+		return nil, fmt.Errorf("checksum mismatch (file %#x, computed %#x)", trailer, sum)
 	}
 	var b transport.Buffer
 	b.Load(body)
 	magic, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if magic != checkpointMagic {
-		return fail(fmt.Errorf("bad magic %#x", magic))
+		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
 	version, err := b.U8()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if version != checkpointVersion {
-		return fail(fmt.Errorf("unsupported version %d", version))
+		return nil, fmt.Errorf("unsupported version %d", version)
 	}
 	ck := &Checkpoint{}
 	if ck.model, err = b.U8(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.model != modelUniform && ck.model != modelWeighted {
-		return fail(fmt.Errorf("unknown model %d", ck.model))
+		return nil, fmt.Errorf("unknown model %d", ck.model)
 	}
 	if ck.proto, err = b.String(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.alpha, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	p, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.p = int(p)
 	strat, err := b.String()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.strategy = Strategy(strat)
 	if ck.csrName, err = b.String(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	n, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.n = int(n)
 	if ck.offsets, err = b.I32s(nil); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.adj, err = b.I32s(nil); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.speeds, err = b.F64s(nil); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.lambda2, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.Seed, err = b.U64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	var v int64
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.MaxRounds = int(v)
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.TraceEvery = int(v)
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.Round = int(v)
 	if ck.totalW, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.count, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.sinceRecompute, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.res.Rounds = int(v)
 	if ck.res.Moves, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	tn, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	for j := uint32(0); j < tn; j++ {
 		var tp core.TracePoint
 		if v, err = b.I64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		tp.Round = int(v)
 		if tp.Psi0, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.Psi1, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.LDelta, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.Moves, err = b.I64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		ck.res.Trace = append(ck.res.Trace, tp)
 	}
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.lastTraced = int(v)
+	// Every shard state starts with at least one 4-byte length prefix,
+	// so a shard count the remaining bytes cannot hold is corrupt; the
+	// check keeps a crafted count from forcing a huge allocation.
+	if ck.p < 1 || ck.p > b.Remaining()/4 {
+		return nil, fmt.Errorf("shard count %d invalid for %d remaining bytes", ck.p, b.Remaining())
+	}
 	ck.states = make([]*ownState, ck.p)
 	for s := 0; s < ck.p; s++ {
 		if ck.states[s], err = decodeOwnState(&b, ck.model); err != nil {
-			return fail(fmt.Errorf("shard %d state: %w", s, err))
+			return nil, fmt.Errorf("shard %d state: %w", s, err)
 		}
 	}
 	if b.Remaining() != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", b.Remaining()))
+		return nil, fmt.Errorf("%d trailing bytes", b.Remaining())
 	}
 	return ck, nil
 }
