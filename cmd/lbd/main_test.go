@@ -2,10 +2,15 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
+	"repro/internal/serve"
 )
 
 // parse builds a flags value through the real FlagSet so tests get the
@@ -19,22 +24,30 @@ func parse(t *testing.T, argv ...string) *flags {
 	return fl
 }
 
-func TestFlagsMetaRoundTrip(t *testing.T) {
-	fl := parse(t,
-		"-graph", "torus", "-n", "100", "-tasks", "5000", "-seed", "9",
-		"-speeds", "twoclass", "-smax", "2", "-model", "weighted",
-		"-protocol", "paper", "-placement", "random")
-	got, err := flagsFromMeta(fl.meta())
-	if err != nil {
-		t.Fatal(err)
+// TestNewHTTPServerTimeouts: both HTTP surfaces go through
+// newHTTPServer, which must bound header reads and idle keep-alives.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
 	}
-	if got.graph != fl.graph || got.n != fl.n || got.tasks != fl.tasks ||
-		got.seed != fl.seed || got.speeds != fl.speeds || got.smax != fl.smax ||
-		got.model != fl.model || got.protocol != fl.protocol || got.placement != fl.placement {
-		t.Fatalf("meta round trip: got %+v, want %+v", got, fl)
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
 	}
-	if _, err := flagsFromMeta(map[string]string{"graph": "ring"}); err == nil {
-		t.Fatal("incomplete meta accepted")
+}
+
+// TestBadInstanceFailsFast: an invalid instance flag is rejected
+// before the system is built — a 3000-node random regular graph would
+// otherwise cost a numeric λ₂ first.
+func TestBadInstanceFailsFast(t *testing.T) {
+	fl := parse(t, "-selfdrive", "-graph", "regular", "-n", "3000", "-placement", "typo")
+	start := time.Now()
+	err := runSelfdrive(context.Background(), fl)
+	if err == nil || !strings.Contains(err.Error(), `unknown placement "typo"`) {
+		t.Fatalf("selfdrive with a bad placement: %v", err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Errorf("rejection took %v; the instance was built first", d)
 	}
 }
 
@@ -116,5 +129,27 @@ func TestDaemonStartupShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestReplayPinnedJournal replays a weighted journal written by an
+// earlier lbd build — random regular graph, integer speeds, random
+// placement, so every seed offset of the instance contract feeds the
+// rebuilt initial state — and requires a bit-exact result on every
+// engine. A change to how the instance is derived from the journal
+// meta breaks this test before it breaks anyone's archived journals.
+func TestReplayPinnedJournal(t *testing.T) {
+	j, err := serve.ReadJournalSegments(filepath.Join("testdata", "weighted-regular-v1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.Weighted || j.Result == nil || len(j.Entries) == 0 {
+		t.Fatalf("pinned journal lost its shape: weighted=%v result=%v entries=%d",
+			j.Weighted, j.Result != nil, len(j.Entries))
+	}
+	for _, engine := range []string{"seq", "shard", "cluster"} {
+		if err := verifyJournal(j, engine, harness.EngineOpts{Shards: 2}); err != nil {
+			t.Errorf("replay on %s: %v", engine, err)
+		}
 	}
 }

@@ -42,14 +42,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/machine"
+	"repro/internal/instance"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/task"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -61,14 +58,7 @@ func main() {
 }
 
 type coordCfg struct {
-	graph     string
-	n         int
-	tasks     int64
-	seed      uint64
-	speeds    string
-	smax      float64
-	model     string
-	placement string
+	instance.Spec
 
 	shards   int
 	socket   string
@@ -92,14 +82,7 @@ func run() error {
 		socket    = flag.String("socket", "", "unix socket path, or tcp:host:port")
 		killAfter = flag.Uint64("killafter", 0, "testing: SIGKILL the worker (or, on the coordinator with -spawn, its first spawned worker) after completing round k")
 
-		graphName = flag.String("graph", "ring", "graph class: complete|ring|torus|hypercube")
-		n         = flag.Int("n", 32, "approximate number of processors")
-		tasks     = flag.Int64("tasks", 0, "number of tasks (default 64·n)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		speedsArg = flag.String("speeds", "uniform", "speed profile: uniform|twoclass")
-		smax      = flag.Float64("smax", 4, "maximum speed for the twoclass profile")
-		model     = flag.String("model", "uniform", "task model: uniform|weighted")
-		placement = flag.String("placement", "corner", "initial placement: corner|random|proportional")
+		spec = instance.Bind(flag.CommandLine, instance.Defaults())
 
 		shards   = flag.Int("shards", 2, "number of shard worker processes P")
 		spawn    = flag.Bool("spawn", false, "spawn the P workers from this binary instead of waiting for external ones")
@@ -121,8 +104,7 @@ func run() error {
 		return runWorker(*socket, *killAfter)
 	}
 	return runCoordinator(coordCfg{
-		graph: *graphName, n: *n, tasks: *tasks, seed: *seed,
-		speeds: *speedsArg, smax: *smax, model: *model, placement: *placement,
+		Spec:   *spec,
 		shards: *shards, socket: *socket, spawn: *spawn,
 		rounds: *rounds, trace: *trace,
 		ckptPath: *ckptPath, ckptEach: *ckptEach, resume: *resume,
@@ -168,7 +150,30 @@ func runWorker(socket string, killAfter uint64) error {
 	return shard.RunWorkerOpts(conn, wo)
 }
 
+// clusterProtocol resolves -protocol to the weighted protocol the
+// cluster ships to its workers. Only the paper's Algorithm 2 is
+// registered on the wire, so every other name fails here, before any
+// socket work.
+func clusterProtocol(s instance.Spec) (core.WeightedFlatProtocol, error) {
+	proto, err := s.WeightedProtocol()
+	if err != nil {
+		return nil, err
+	}
+	fp, ok := proto.(core.WeightedFlatProtocol)
+	if !ok || !harness.WeightedEngineSupports(harness.EngineCluster, proto) {
+		return nil, fmt.Errorf("protocol %s is not registered for cluster execution (want -protocol paper)", proto.Name())
+	}
+	return fp, nil
+}
+
 func runCoordinator(cfg coordCfg) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	proto, err := clusterProtocol(cfg.Spec)
+	if err != nil {
+		return err
+	}
 	var from *shard.Checkpoint
 	if cfg.resume {
 		if cfg.ckptPath == "" {
@@ -181,14 +186,22 @@ func runCoordinator(cfg coordCfg) error {
 		from = ck
 		cfg.shards = ck.Shards()
 		if ck.Weighted() {
-			cfg.model = "weighted"
+			cfg.Model = "weighted"
 		} else {
-			cfg.model = "uniform"
+			cfg.Model = "uniform"
 		}
-		fmt.Printf("resume:   %s at round %d (P=%d, model=%s)\n", cfg.ckptPath, ck.Round, ck.Shards(), cfg.model)
+		fmt.Printf("resume:   %s at round %d (P=%d, model=%s)\n", cfg.ckptPath, ck.Round, ck.Shards(), cfg.Model)
 	}
 	if cfg.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
+	}
+	// A fresh run starts from the flags' instance and -verify replays
+	// it; either way it is built before the workers are spawned.
+	var sys *core.System
+	if from == nil || cfg.verify {
+		if sys, err = cfg.System(); err != nil {
+			return err
+		}
 	}
 
 	network, addr := splitSocket(cfg.socket)
@@ -248,28 +261,31 @@ func runCoordinator(cfg coordCfg) error {
 	}
 	fmt.Printf("cluster:  P=%d workers connected on %s\n", cfg.shards, advertise)
 
-	opts := core.RunOpts{MaxRounds: cfg.rounds, Seed: cfg.seed, TraceEvery: cfg.trace}
+	opts := core.RunOpts{MaxRounds: cfg.rounds, Seed: cfg.Seed, TraceEvery: cfg.trace}
 	ckCfg := shard.CheckpointConfig{Path: cfg.ckptPath, Every: cfg.ckptEach}
 
-	if cfg.model == "weighted" {
-		return driveWeighted(cfg, rws, from, opts, ckCfg)
+	if cfg.Model == "weighted" {
+		return driveWeighted(cfg, sys, proto, rws, from, opts, ckCfg)
 	}
-	return driveUniform(cfg, rws, from, opts, ckCfg)
+	return driveUniform(cfg, sys, rws, from, opts, ckCfg)
 }
 
-func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
-	var cl *shard.UniformCluster
+// driveUniform runs the uniform model from the checkpoint, or else from
+// sys's initial counts; with -verify it replays sys's instance on the
+// in-process shard engine.
+func driveUniform(cfg coordCfg, sys *core.System, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
+	var initial []int64
 	var err error
+	if sys != nil {
+		if initial, err = cfg.Counts(sys); err != nil {
+			return err
+		}
+	}
+	var cl *shard.UniformCluster
 	if from != nil {
 		cl, err = from.ResumeUniform(rws)
 	} else {
-		var sys *core.System
-		var counts []int64
-		sys, counts, _, err = buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		cl, err = shard.NewUniformCluster(sys, core.Algorithm1{}, counts, rws, shard.Contiguous)
+		cl, err = shard.NewUniformCluster(sys, core.Algorithm1{}, initial, rws, shard.Contiguous)
 	}
 	if err != nil {
 		return err
@@ -294,10 +310,6 @@ func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opt
 		return err
 	}
 	if cfg.verify {
-		sys, initial, _, err := buildInstance(cfg)
-		if err != nil {
-			return err
-		}
 		want, wantCounts, err := harness.RunUniformEngineOpts(harness.EngineShard, sys,
 			core.Algorithm1{}, initial, nil, opts, harness.EngineOpts{Shards: cfg.shards})
 		if err != nil {
@@ -314,19 +326,20 @@ func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opt
 	})
 }
 
-func driveWeighted(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
-	var cl *shard.WeightedCluster
+// driveWeighted is driveUniform's weighted counterpart.
+func driveWeighted(cfg coordCfg, sys *core.System, proto core.WeightedFlatProtocol, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
+	var perNode []task.Weights
 	var err error
+	if sys != nil {
+		if perNode, err = cfg.Weighted(sys); err != nil {
+			return err
+		}
+	}
+	var cl *shard.WeightedCluster
 	if from != nil {
 		cl, err = from.ResumeWeighted(rws)
 	} else {
-		var sys *core.System
-		var perNode []task.Weights
-		sys, _, perNode, err = buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		cl, err = shard.NewWeightedCluster(sys, core.Algorithm2{}, perNode, rws, shard.Contiguous)
+		cl, err = shard.NewWeightedCluster(sys, proto, perNode, rws, shard.Contiguous)
 	}
 	if err != nil {
 		return err
@@ -352,12 +365,8 @@ func driveWeighted(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, op
 		return err
 	}
 	if cfg.verify {
-		sys, _, perNode, err := buildInstance(cfg)
-		if err != nil {
-			return err
-		}
 		want, wantState, err := harness.RunWeightedEngineOpts(harness.EngineShard, sys,
-			core.Algorithm2{}, perNode, nil, opts, harness.EngineOpts{Shards: cfg.shards})
+			proto, perNode, nil, opts, harness.EngineOpts{Shards: cfg.shards})
 		if err != nil {
 			return fmt.Errorf("verify run: %w", err)
 		}
@@ -399,75 +408,6 @@ func sameWeightedState(got, want *core.WeightedState) error {
 			got.TotalWeight(), got.TaskCount(), want.TotalWeight(), want.TaskCount())
 	}
 	return nil
-}
-
-// buildInstance constructs the system and both initial placements from
-// the instance flags; the unused model's placement is nil.
-func buildInstance(cfg coordCfg) (*core.System, []int64, []task.Weights, error) {
-	class, err := experiments.ClassByKey(cfg.graph)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := class.Build(cfg.n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n := g.N()
-	var speeds machine.Speeds
-	switch cfg.speeds {
-	case "uniform":
-		speeds = machine.Uniform(n)
-	case "twoclass":
-		if speeds, err = machine.TwoClass(n, 0.25, cfg.smax); err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown speed profile %q", cfg.speeds)
-	}
-	sys, err := core.NewSystem(g, speeds, core.WithLambda2(class.Lambda2(g)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m := cfg.tasks
-	if m <= 0 {
-		m = 64 * int64(n)
-	}
-	if cfg.model == "weighted" {
-		weights, err := task.RandomWeights(int(m), 0.1, 1.0, rng.New(cfg.seed+3))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var perNode []task.Weights
-		switch cfg.placement {
-		case "corner":
-			perNode, err = workload.WeightedAllOnOne(n, weights, 0)
-		case "random":
-			perNode, err = workload.WeightedUniformRandom(n, weights, rng.New(cfg.seed+2))
-		case "proportional":
-			perNode, err = workload.WeightedProportional(sys.Speeds(), weights)
-		default:
-			err = fmt.Errorf("unknown placement %q", cfg.placement)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sys, nil, perNode, nil
-	}
-	var counts []int64
-	switch cfg.placement {
-	case "corner":
-		counts, err = workload.AllOnOne(n, m, 0)
-	case "random":
-		counts, err = workload.UniformRandom(n, m, rng.New(cfg.seed+2))
-	case "proportional":
-		counts, err = workload.Proportional(sys.Speeds(), m)
-	default:
-		err = fmt.Errorf("unknown placement %q", cfg.placement)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sys, counts, nil, nil
 }
 
 // attachSpans wires a span recorder into the cluster when -trace-out

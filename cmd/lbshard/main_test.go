@@ -78,25 +78,59 @@ func TestProcessParityUniform(t *testing.T) {
 }
 
 // TestProcessParityWeighted is the weighted-model version, with
-// heterogeneous speeds so the speed-scaled protocol paths run.
+// heterogeneous speeds so the speed-scaled protocol paths run — over a
+// Table-1 class and over a mesh with integer speeds, which only the
+// shared instance spec builds.
 func TestProcessParityWeighted(t *testing.T) {
-	dir := t.TempDir()
-	var results [][]byte
-	for _, p := range []int{2, 4} {
-		res := filepath.Join(dir, "weighted-"+strconv.Itoa(p)+".json")
-		out := mustRun(t,
-			"-graph", "torus", "-n", "16", "-tasks", "800", "-seed", "9",
-			"-model", "weighted", "-speeds", "twoclass",
-			"-rounds", "40", "-trace", "7", "-shards", strconv.Itoa(p),
-			"-socket", filepath.Join(dir, "w"+strconv.Itoa(p)+".sock"),
-			"-spawn", "-verify", "-result", res)
-		if !bytes.Contains(out, []byte("verify: OK")) {
-			t.Fatalf("P=%d: no verify line in output:\n%s", p, out)
-		}
-		results = append(results, readFile(t, res))
+	for name, inst := range map[string][]string{
+		"torus-twoclass": {"-graph", "torus", "-n", "16", "-speeds", "twoclass"},
+		"mesh-integers":  {"-graph", "mesh", "-n", "20", "-speeds", "integers"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var results [][]byte
+			for _, p := range []int{2, 4} {
+				res := filepath.Join(dir, "weighted-"+strconv.Itoa(p)+".json")
+				out := mustRun(t, append(inst,
+					"-tasks", "800", "-seed", "9", "-model", "weighted",
+					"-rounds", "40", "-trace", "7", "-shards", strconv.Itoa(p),
+					"-socket", filepath.Join(dir, "w"+strconv.Itoa(p)+".sock"),
+					"-spawn", "-verify", "-result", res)...)
+				if !bytes.Contains(out, []byte("verify: OK")) {
+					t.Fatalf("P=%d: no verify line in output:\n%s", p, out)
+				}
+				results = append(results, readFile(t, res))
+			}
+			if !bytes.Equal(results[0], results[1]) {
+				t.Fatal("P=2 and P=4 result files differ")
+			}
+		})
 	}
-	if !bytes.Equal(results[0], results[1]) {
-		t.Fatal("P=2 and P=4 result files differ")
+}
+
+// TestBadInstanceFailsBeforeSpawn: an instance the flags alone reject —
+// an unknown name, an out-of-range size, a protocol the wire cannot
+// carry — must fail before the coordinator listens or spawns workers.
+func TestBadInstanceFailsBeforeSpawn(t *testing.T) {
+	for name, bad := range map[string][]string{
+		"graph":     {"-graph", "barbell"},
+		"placement": {"-placement", "typo"},
+		"n":         {"-n", "0"},
+		"protocol":  {"-model", "weighted", "-protocol", "literal"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sock := filepath.Join(t.TempDir(), "bad.sock")
+			out, err := lbshard(t, append(bad, "-shards", "2", "-socket", sock, "-spawn")...)
+			if err == nil {
+				t.Fatalf("lbshard %v succeeded:\n%s", bad, out)
+			}
+			if bytes.Contains(out, []byte("cluster:")) || bytes.Contains(out, []byte("EOF")) {
+				t.Fatalf("lbshard %v reached the workers before failing:\n%s", bad, out)
+			}
+			if _, serr := os.Stat(sock); serr == nil {
+				t.Fatalf("lbshard %v listened before failing", bad)
+			}
+		})
 	}
 }
 

@@ -39,15 +39,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dynamics"
-	"repro/internal/experiments"
-	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/machine"
-	"repro/internal/rng"
+	"repro/internal/instance"
 	"repro/internal/shard"
-	"repro/internal/spectral"
-	"repro/internal/task"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -59,20 +53,12 @@ func main() {
 }
 
 func run() error {
+	spec := instance.Bind(flag.CommandLine, instance.Defaults())
 	var (
-		graphName = flag.String("graph", "ring", "graph class: complete|ring|path|torus|mesh|hypercube|star|regular")
-		n         = flag.Int("n", 32, "approximate number of processors")
-		tasks     = flag.Int64("tasks", 0, "number of tasks (default 64·n)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		speedsArg = flag.String("speeds", "uniform", "speed profile: uniform|twoclass|integers")
-		smax      = flag.Float64("smax", 4, "maximum speed for non-uniform profiles")
-		model     = flag.String("model", "uniform", "task model: uniform|weighted")
 		engine    = flag.String("engine", "seq", "execution engine: seq|shard|cluster; see the engine matrix in README.md (identical trajectories)")
-		protocol  = flag.String("protocol", "paper", "weighted protocol: paper|literal|baseline")
 		eps       = flag.Float64("eps", 0.25, "epsilon for the approximate-NE stop")
 		maxRounds = flag.Int("maxrounds", 2_000_000, "safety cap on rounds")
 		trace     = flag.Int("trace", 0, "emit a potential trace every k rounds (0 = off)")
-		placement = flag.String("placement", "corner", "initial placement: corner|random|proportional")
 		analyze   = flag.Bool("analyze", false, "print a state diagnostic after each phase (uniform model)")
 
 		fixedRounds   = flag.Int("rounds", 0, "run exactly k protocol rounds instead of the convergence phases (reports throughput; the scale mode for either model)")
@@ -89,61 +75,53 @@ func run() error {
 		eventSeed  = flag.Uint64("eventseed", 0, "dynamic: event-stream seed (default seed+17)")
 	)
 	flag.Parse()
-
-	g, lambda2, err := buildGraph(*graphName, *n, *seed)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	actualN := g.N()
-	speeds, err := buildSpeeds(*speedsArg, actualN, *smax, *seed)
-	if err != nil {
-		return err
-	}
-	sys, err := core.NewSystem(g, speeds, core.WithLambda2(lambda2))
-	if err != nil {
-		return err
-	}
-	m := *tasks
-	if m <= 0 {
-		m = 64 * int64(actualN)
-	}
-	eo := harness.EngineOpts{Workers: *distWorkers, Shards: *shards, Strategy: *shardStrategy}
-	fmt.Printf("instance: %s  Δ=%d  λ₂=%.5f  s_max=%g  S=%.0f  m=%d\n",
-		g, sys.MaxDegree(), sys.Lambda2(), sys.SMax(), sys.STotal(), m)
-	fmt.Printf("theory:   γ=%.1f  ψ_c=%.1f  T_approx≤%.0f  T_exact≤%.3g\n",
-		sys.Gamma(), sys.PsiCritical(), 2*sys.ApproxPhaseRounds(m), sys.ExactPhaseRounds(1))
-
 	if *arrivals < 0 || *departures < 0 || *churn < 0 || *burstEvery < 0 || *burstSize < 0 {
 		return fmt.Errorf("dynamic flags must be non-negative (arrivals=%g departures=%g churn=%d burstevery=%d burstsize=%d)",
 			*arrivals, *departures, *churn, *burstEvery, *burstSize)
 	}
-	if *arrivals > 0 || *departures > 0 || *churn > 0 || *burstEvery > 0 {
-		if *fixedRounds > 0 {
-			return fmt.Errorf("-rounds conflicts with the dynamic flags; use -horizon to bound a dynamic run")
-		}
+	dynamic := *arrivals > 0 || *departures > 0 || *churn > 0 || *burstEvery > 0
+	if dynamic && *fixedRounds > 0 {
+		return fmt.Errorf("-rounds conflicts with the dynamic flags; use -horizon to bound a dynamic run")
+	}
+
+	sys, err := spec.System()
+	if err != nil {
+		return err
+	}
+	m := spec.TaskCount(sys.N())
+	eo := harness.EngineOpts{Workers: *distWorkers, Shards: *shards, Strategy: *shardStrategy}
+	fmt.Printf("instance: %s  Δ=%d  λ₂=%.5f  s_max=%g  S=%.0f  m=%d\n",
+		sys.Graph(), sys.MaxDegree(), sys.Lambda2(), sys.SMax(), sys.STotal(), m)
+	fmt.Printf("theory:   γ=%.1f  ψ_c=%.1f  T_approx≤%.0f  T_exact≤%.3g\n",
+		sys.Gamma(), sys.PsiCritical(), 2*sys.ApproxPhaseRounds(m), sys.ExactPhaseRounds(1))
+
+	if dynamic {
 		dyn := dynCfg{
 			arrivals: *arrivals, departures: *departures, churn: *churn,
 			burstEvery: *burstEvery, burstSize: *burstSize,
 			horizon: *horizon, eventSeed: *eventSeed, trace: *trace,
 		}
 		if dyn.eventSeed == 0 {
-			dyn.eventSeed = *seed + 17
+			dyn.eventSeed = spec.Seed + 17
 		}
 		if dyn.burstEvery > 0 && dyn.burstSize <= 0 {
 			dyn.burstSize = m / 4
 		}
-		return runDynamic(sys, m, *model, *engine, *protocol, *placement, *seed, dyn, eo)
+		return runDynamic(*spec, sys, *engine, dyn, eo)
 	}
 	if *fixedRounds > 0 {
-		if *model == "weighted" {
-			return runFixedWeighted(sys, m, *engine, *protocol, *placement, *seed, *fixedRounds, *trace, eo)
+		if spec.Model == "weighted" {
+			return runFixedWeighted(*spec, sys, *engine, *fixedRounds, *trace, eo)
 		}
-		return runFixed(sys, m, *engine, *placement, *seed, *fixedRounds, *trace, eo)
+		return runFixed(*spec, sys, *engine, *fixedRounds, *trace, eo)
 	}
-	if *model == "weighted" {
-		return runWeighted(sys, m, *engine, *protocol, *placement, *eps, *seed, *maxRounds, *trace, eo)
+	if spec.Model == "weighted" {
+		return runWeighted(*spec, sys, *engine, *eps, *maxRounds, *trace, eo)
 	}
-	return runUniform(sys, m, *engine, *placement, *eps, *seed, *maxRounds, *trace, *analyze, eo)
+	return runUniform(*spec, sys, *engine, *eps, *maxRounds, *trace, *analyze, eo)
 }
 
 // dynCfg bundles the dynamic-regime flags.
@@ -160,7 +138,7 @@ type dynCfg struct {
 // runDynamic executes the dynamic regime: continuous arrivals and
 // completions (and optional bursts and churn) over a fixed horizon,
 // reporting steady-state metrics and the event ledger.
-func runDynamic(sys *core.System, m int64, model, engine, protocol, placement string, seed uint64, cfg dynCfg, eo harness.EngineOpts) error {
+func runDynamic(spec instance.Spec, sys *core.System, engine string, cfg dynCfg, eo harness.EngineOpts) error {
 	w := dynamics.Workload{
 		Seed:        cfg.eventSeed,
 		ArrivalRate: cfg.arrivals,
@@ -170,7 +148,7 @@ func runDynamic(sys *core.System, m int64, model, engine, protocol, placement st
 	}
 	opts := harness.DynamicOpts{
 		MaxRounds: cfg.horizon,
-		Seed:      seed,
+		Seed:      spec.Seed,
 		Workload:  w,
 		Churn:     dynamics.AlternatingChurn(cfg.horizon, cfg.churn),
 		Engine:    eo,
@@ -180,18 +158,18 @@ func runDynamic(sys *core.System, m int64, model, engine, protocol, placement st
 
 	var res harness.DynamicResult
 	var err error
-	if model == "weighted" {
-		proto, perr := weightedProtocol(protocol)
+	if spec.Model == "weighted" {
+		proto, perr := spec.WeightedProtocol()
 		if perr != nil {
 			return perr
 		}
-		perNode, werr := initialWeighted(sys, m, placement, seed)
+		perNode, werr := spec.Weighted(sys)
 		if werr != nil {
 			return werr
 		}
 		res, err = harness.RunWeightedDynamic(engine, sys, proto, perNode, opts)
 	} else {
-		counts, cerr := initialCounts(sys, m, placement, seed)
+		counts, cerr := spec.Counts(sys)
 		if cerr != nil {
 			return cerr
 		}
@@ -200,7 +178,7 @@ func runDynamic(sys *core.System, m int64, model, engine, protocol, placement st
 	if err != nil {
 		return err
 	}
-	if model == "weighted" {
+	if spec.Model == "weighted" {
 		fmt.Printf("traffic:  %d event batches: +%d/−%d tasks (+%.1f/−%.1f weight)\n",
 			res.Ledger.Batches, res.Ledger.ArrivedTasks, res.Ledger.DepartedTasks,
 			res.Ledger.ArrivedWeight, res.Ledger.DepartedWeight)
@@ -231,129 +209,9 @@ func runDynamic(sys *core.System, m int64, model, engine, protocol, placement st
 	return nil
 }
 
-// weightedProtocol resolves the -protocol flag (shared by the static
-// and dynamic weighted paths).
-func weightedProtocol(name string) (core.WeightedProtocol, error) {
-	switch name {
-	case "paper":
-		return core.Algorithm2{}, nil
-	case "literal":
-		return core.Algorithm2Literal{}, nil
-	case "baseline":
-		return core.BaselineWeighted{}, nil
-	default:
-		return nil, fmt.Errorf("unknown weighted protocol %q", name)
-	}
-}
-
-// initialWeighted builds the initial weighted placement: m tasks with
-// uniform(0.1, 1.0) weights, placed by the -placement flag (shared by
-// the static, fixed-round and dynamic weighted paths). "proportional"
-// is the interesting start for heterogeneous -speeds profiles at scale:
-// every node active, loads near balance.
-func initialWeighted(sys *core.System, m int64, placement string, seed uint64) ([]task.Weights, error) {
-	weights, err := task.RandomWeights(int(m), 0.1, 1.0, rng.New(seed+3))
-	if err != nil {
-		return nil, err
-	}
-	n := sys.N()
-	switch placement {
-	case "corner":
-		return workload.WeightedAllOnOne(n, weights, 0)
-	case "random":
-		return workload.WeightedUniformRandom(n, weights, rng.New(seed+2))
-	case "proportional":
-		return workload.WeightedProportional(sys.Speeds(), weights)
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-}
-
-// initialCounts builds the initial uniform placement (shared by the
-// static and dynamic paths).
-func initialCounts(sys *core.System, m int64, placement string, seed uint64) ([]int64, error) {
-	n := sys.N()
-	switch placement {
-	case "corner":
-		return workload.AllOnOne(n, m, 0)
-	case "random":
-		return workload.UniformRandom(n, m, rng.New(seed+2))
-	case "proportional":
-		return workload.Proportional(sys.Speeds(), m)
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-}
-
-func buildGraph(name string, n int, seed uint64) (*graph.Graph, float64, error) {
-	switch name {
-	case "complete", "ring", "torus", "hypercube":
-		class, err := experiments.ClassByKey(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		g, err := class.Build(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, class.Lambda2(g), nil
-	case "path":
-		g, err := graph.Path(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Path(n), nil
-	case "mesh":
-		side := sqrtSide(n)
-		g, err := graph.Mesh(side, side)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Mesh(side, side), nil
-	case "star":
-		g, err := graph.Star(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Star(n), nil
-	case "regular":
-		g, err := graph.RandomRegular(n, 4, rng.New(seed))
-		if err != nil {
-			return nil, 0, err
-		}
-		l2, err := spectral.Lambda2(g)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, l2, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown graph class %q", name)
-	}
-}
-
-func sqrtSide(n int) int {
-	side := 1
-	for side*side < n {
-		side++
-	}
-	return side
-}
-
-func buildSpeeds(profile string, n int, smax float64, seed uint64) (machine.Speeds, error) {
-	switch profile {
-	case "uniform":
-		return machine.Uniform(n), nil
-	case "twoclass":
-		return machine.TwoClass(n, 0.25, smax)
-	case "integers":
-		return machine.RandomIntegers(n, int(smax), rng.New(seed+1))
-	default:
-		return nil, fmt.Errorf("unknown speed profile %q", profile)
-	}
-}
-
-func runUniform(sys *core.System, m int64, engine, placement string, eps float64, seed uint64, maxRounds, trace int, analyze bool, eo harness.EngineOpts) error {
-	counts, err := initialCounts(sys, m, placement, seed)
+func runUniform(spec instance.Spec, sys *core.System, engine string, eps float64, maxRounds, trace int, analyze bool, eo harness.EngineOpts) error {
+	seed := spec.Seed
+	counts, err := spec.Counts(sys)
 	if err != nil {
 		return err
 	}
@@ -402,12 +260,12 @@ func runUniform(sys *core.System, m int64, engine, placement string, eps float64
 	return nil
 }
 
-func runWeighted(sys *core.System, m int64, engine, protocol, placement string, eps float64, seed uint64, maxRounds, trace int, eo harness.EngineOpts) error {
-	perNode, err := initialWeighted(sys, m, placement, seed)
+func runWeighted(spec instance.Spec, sys *core.System, engine string, eps float64, maxRounds, trace int, eo harness.EngineOpts) error {
+	perNode, err := spec.Weighted(sys)
 	if err != nil {
 		return err
 	}
-	proto, err := weightedProtocol(protocol)
+	proto, err := spec.WeightedProtocol()
 	if err != nil {
 		return err
 	}
@@ -419,7 +277,7 @@ func runWeighted(sys *core.System, m int64, engine, protocol, placement string, 
 		start.TotalWeight(), core.WeightedPsi0(start), core.WeightedLDelta(start), proto.Name(), engine)
 
 	res, st, err := harness.RunWeightedEngineOpts(engine, sys, proto, perNode,
-		core.StopAtWeightedApproxNash(eps), core.RunOpts{MaxRounds: maxRounds, Seed: seed, TraceEvery: trace}, eo)
+		core.StopAtWeightedApproxNash(eps), core.RunOpts{MaxRounds: maxRounds, Seed: spec.Seed, TraceEvery: trace}, eo)
 	if err != nil {
 		return err
 	}
@@ -462,8 +320,8 @@ func fixedReport(rounds int, elapsed time.Duration, moves int64) string {
 // instance runs in flat CSR-backed state, so the only O(n) costs are
 // the arrays themselves. Reports moves, final potentials and
 // throughput.
-func runFixed(sys *core.System, m int64, engine, placement string, seed uint64, rounds, trace int, eo harness.EngineOpts) error {
-	counts, err := initialCounts(sys, m, placement, seed)
+func runFixed(spec instance.Spec, sys *core.System, engine string, rounds, trace int, eo harness.EngineOpts) error {
+	counts, err := spec.Counts(sys)
 	if err != nil {
 		return err
 	}
@@ -472,7 +330,7 @@ func runFixed(sys *core.System, m int64, engine, placement string, seed uint64, 
 	eo.Probe = probePhases(&phases)
 	start := time.Now()
 	res, counts, err := harness.RunUniformEngineOpts(engine, sys, core.Algorithm1{}, counts, nil,
-		core.RunOpts{MaxRounds: rounds, Seed: seed, TraceEvery: trace}, eo)
+		core.RunOpts{MaxRounds: rounds, Seed: spec.Seed, TraceEvery: trace}, eo)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
@@ -494,12 +352,12 @@ func runFixed(sys *core.System, m int64, engine, placement string, seed uint64, 
 // shard, so a million-node heterogeneous instance runs without
 // pointer-heavy per-node structures. Pair with -placement proportional
 // and a non-uniform -speeds profile for the every-node-active regime.
-func runFixedWeighted(sys *core.System, m int64, engine, protocol, placement string, seed uint64, rounds, trace int, eo harness.EngineOpts) error {
-	perNode, err := initialWeighted(sys, m, placement, seed)
+func runFixedWeighted(spec instance.Spec, sys *core.System, engine string, rounds, trace int, eo harness.EngineOpts) error {
+	perNode, err := spec.Weighted(sys)
 	if err != nil {
 		return err
 	}
-	proto, err := weightedProtocol(protocol)
+	proto, err := spec.WeightedProtocol()
 	if err != nil {
 		return err
 	}
@@ -508,7 +366,7 @@ func runFixedWeighted(sys *core.System, m int64, engine, protocol, placement str
 	eo.Probe = probePhases(&phases)
 	start := time.Now()
 	res, st, err := harness.RunWeightedEngineOpts(engine, sys, proto, perNode, nil,
-		core.RunOpts{MaxRounds: rounds, Seed: seed, TraceEvery: trace}, eo)
+		core.RunOpts{MaxRounds: rounds, Seed: spec.Seed, TraceEvery: trace}, eo)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
