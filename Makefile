@@ -114,9 +114,10 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Short native-fuzzing pass over the samplers, the graph generators, the
-# checkpoint decoder and the journal-meta instance decoder (each -fuzz
-# run accepts exactly one target, hence one line per target). CI runs this on every push; longer local
-# sessions can raise FUZZTIME.
+# checkpoint and event-slice decoders and the journal-meta instance
+# decoder (each -fuzz run accepts exactly one target, hence one line
+# per target). CI runs this on every push; longer local sessions can
+# raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
@@ -125,6 +126,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventSlice$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecFromMeta$$' -fuzztime $(FUZZTIME) ./internal/instance
 
 ci: vet build race bench-check

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -15,6 +16,15 @@ import (
 // the application clamps them to the tasks actually present, and the
 // returned EventLedger records what was applied, so conservation checks
 // can be made net of the ledger.
+//
+// Alongside the dense vectors a batch keeps a touched-node index, so
+// that appliers walk only the nodes that carry events (Nodes). The
+// index covers the vectors the Add helpers, Merge and Reset allocated
+// or adopted; entries of those vectors change only through them. Any
+// other vector — a struct literal, a generator filling its own
+// vectors, a vector assigned after an Add call — is detected, and the
+// batch falls back to scanning all four vectors, so no event is lost.
+// Pass batches by pointer: a copied value shares its vectors and index.
 type EventBatch struct {
 	// Arrivals[i] unit tasks appear on node i before the round.
 	Arrivals []int64
@@ -25,34 +35,170 @@ type EventBatch struct {
 	WeightArrivals [][]float64
 	// WeightDepartures[i] weighted tasks complete on node i (clamped).
 	WeightDepartures []int64
+
+	idx eventIndex
 }
 
-// IsZero reports whether the batch carries no events.
+// eventIndex is an EventBatch's touched-node index.
+type eventIndex struct {
+	// nodes holds every node an Add helper wrote while the index covered
+	// the batch: in first-touch order (unsorted) until Nodes sorts it,
+	// possibly with duplicates or nodes whose events cancelled, which
+	// Nodes drops.
+	nodes    []int
+	unsorted bool
+	// a, d, wa and wd are the vectors the index covers. mixed records
+	// that an Add helper wrote a batch holding some other vector; such a
+	// batch is scanned until Reset.
+	a, d, wd []int64
+	wa       [][]float64
+	mixed    bool
+	// scan is the reused result buffer of the scanning fallback.
+	scan []int
+}
+
+// sameVec reports whether v and w are the same vector: same length and,
+// when non-empty, the same backing array.
+func sameVec[T any](v, w []T) bool {
+	return len(v) == len(w) && (len(v) == 0 || &v[0] == &w[0])
+}
+
+// indexed reports whether the touched-node index covers the batch.
+func (b *EventBatch) indexed() bool {
+	x := &b.idx
+	return !x.mixed && sameVec(b.Arrivals, x.a) && sameVec(b.Departures, x.d) &&
+		sameVec(b.WeightArrivals, x.wa) && sameVec(b.WeightDepartures, x.wd)
+}
+
+// adopt makes the index cover the batch's current vectors.
+func (b *EventBatch) adopt() {
+	x := &b.idx
+	x.a, x.d, x.wa, x.wd = b.Arrivals, b.Departures, b.WeightArrivals, b.WeightDepartures
+}
+
+// span is the length of the batch's longest vector.
+func (b *EventBatch) span() int {
+	return max(len(b.Arrivals), len(b.Departures), len(b.WeightArrivals), len(b.WeightDepartures))
+}
+
+// carries reports whether node i has an event of any kind.
+func (b *EventBatch) carries(i int) bool {
+	return i < len(b.Arrivals) && b.Arrivals[i] != 0 ||
+		i < len(b.Departures) && b.Departures[i] != 0 ||
+		i < len(b.WeightArrivals) && len(b.WeightArrivals[i]) != 0 ||
+		i < len(b.WeightDepartures) && b.WeightDepartures[i] != 0
+}
+
+// touch runs before an Add helper writes node i. It reports whether
+// the index covers the batch and, if so, records i unless it already
+// carries an event; otherwise it marks the batch mixed.
+func (b *EventBatch) touch(i int) bool {
+	x := &b.idx
+	if !b.indexed() {
+		x.mixed = true
+		return false
+	}
+	if !b.carries(i) {
+		if k := len(x.nodes); k > 0 && x.nodes[k-1] >= i {
+			x.unsorted = true
+		}
+		x.nodes = append(x.nodes, i)
+	}
+	return true
+}
+
+// Nodes returns the nodes that carry any event, ascending and
+// distinct. An indexed batch answers in O(touched); a directly written
+// one is scanned in O(n). The slice is owned by the batch and valid
+// until its next mutation; like the Add helpers, Nodes is not safe for
+// concurrent use.
+func (b *EventBatch) Nodes() []int {
+	if b == nil {
+		return nil
+	}
+	x := &b.idx
+	if !b.indexed() {
+		out := x.scan[:0]
+		for i := range b.span() {
+			if b.carries(i) {
+				out = append(out, i)
+			}
+		}
+		x.scan = out
+		return out
+	}
+	if x.unsorted {
+		slices.Sort(x.nodes)
+		x.unsorted = false
+	}
+	out := x.nodes[:0]
+	for k, i := range x.nodes {
+		if (k == 0 || i != x.nodes[k-1]) && b.carries(i) {
+			out = append(out, i)
+		}
+	}
+	x.nodes = out
+	return out
+}
+
+// NodesIn returns the part of an ascending node list inside [lo,hi).
+func NodesIn(nodes []int, lo, hi int) []int {
+	a, _ := slices.BinarySearch(nodes, lo)
+	z, _ := slices.BinarySearch(nodes[a:], hi)
+	return nodes[a : a+z]
+}
+
+// IsZero reports whether the batch carries no events: from the index
+// when it covers the batch, by a scan that stops at the first event
+// otherwise.
 func (b *EventBatch) IsZero() bool {
 	if b == nil {
 		return true
 	}
-	for _, v := range b.Arrivals {
-		if v != 0 {
-			return false
+	if b.indexed() {
+		for _, i := range b.idx.nodes {
+			if b.carries(i) {
+				return false
+			}
 		}
+		return true
 	}
-	for _, v := range b.Departures {
-		if v != 0 {
-			return false
-		}
-	}
-	for _, ws := range b.WeightArrivals {
-		if len(ws) != 0 {
-			return false
-		}
-	}
-	for _, v := range b.WeightDepartures {
-		if v != 0 {
+	for i := range b.span() {
+		if b.carries(i) {
 			return false
 		}
 	}
 	return true
+}
+
+// Reset empties the batch for reuse and keeps its vectors. An indexed
+// batch clears only its touched entries and keeps each node's
+// weight-list capacity; a directly written one is cleared by a scan
+// (dropping its weight lists, which may be the caller's), after which
+// the index covers its now-zero vectors.
+func (b *EventBatch) Reset() {
+	indexed := b.indexed()
+	for _, i := range b.Nodes() {
+		if i < len(b.Arrivals) {
+			b.Arrivals[i] = 0
+		}
+		if i < len(b.Departures) {
+			b.Departures[i] = 0
+		}
+		if i < len(b.WeightArrivals) {
+			if indexed {
+				b.WeightArrivals[i] = b.WeightArrivals[i][:0]
+			} else {
+				b.WeightArrivals[i] = nil
+			}
+		}
+		if i < len(b.WeightDepartures) {
+			b.WeightDepartures[i] = 0
+		}
+	}
+	x := &b.idx
+	x.nodes, x.unsorted, x.mixed = x.nodes[:0], false, false
+	b.adopt()
 }
 
 // ensureN grows (or allocates) a per-node vector to exactly n entries.
@@ -71,18 +217,27 @@ func ensureN[T any](v []T, n int) []T {
 // AddArrival accumulates k unit-task arrivals at node i, growing the
 // per-node vector to n entries on first use. Together with the other
 // Add* helpers and Merge it is the append surface request batchers
-// (package serve) use to fold individual submissions into one batch
-// per round without materializing intermediate batches.
+// (package serve) and the cluster workers' frame decoder use to fold
+// individual events into one batch without materializing intermediate
+// batches; each call maintains the touched-node index.
 func (b *EventBatch) AddArrival(n, i int, k int64) {
+	ok := b.touch(i)
 	b.Arrivals = ensureN(b.Arrivals, n)
 	b.Arrivals[i] += k
+	if ok {
+		b.adopt()
+	}
 }
 
 // AddDeparture accumulates a k unit-task completion request at node i
 // (clamped to the queue at application time).
 func (b *EventBatch) AddDeparture(n, i int, k int64) {
+	ok := b.touch(i)
 	b.Departures = ensureN(b.Departures, n)
 	b.Departures[i] += k
+	if ok {
+		b.adopt()
+	}
 }
 
 // AddWeightArrival appends one weighted-task arrival of weight w at
@@ -90,22 +245,29 @@ func (b *EventBatch) AddDeparture(n, i int, k int64) {
 // node's queue in the order they were added, which is what makes a
 // batch built from a recorded submission journal replay bit-exactly.
 func (b *EventBatch) AddWeightArrival(n, i int, w float64) {
-	if b.WeightArrivals == nil {
-		b.WeightArrivals = make([][]float64, n)
-	}
+	ok := b.touch(i)
+	b.WeightArrivals = ensureN(b.WeightArrivals, n)
 	b.WeightArrivals[i] = append(b.WeightArrivals[i], w)
+	if ok {
+		b.adopt()
+	}
 }
 
 // AddWeightDeparture accumulates a k weighted-task completion request
 // at node i (most-recent-first, clamped at application time).
 func (b *EventBatch) AddWeightDeparture(n, i int, k int64) {
+	ok := b.touch(i)
 	b.WeightDepartures = ensureN(b.WeightDepartures, n)
 	b.WeightDepartures[i] += k
+	if ok {
+		b.adopt()
+	}
 }
 
 // Merge folds o into b: counts add, weight-arrival lists append in
-// order. Both batches must be sized for the same n-node system (nil
-// slices mean no events of that kind). Merging preserves application
+// order; it walks only o's touched nodes. Both batches must be sized
+// for the same n-node system (nil slices mean no events of that
+// kind). Merging preserves application
 // semantics for arrival order but NOT for arrival/departure
 // interleaving — EventBatch application is always all-arrivals-then-
 // all-departures — so two batches merged and applied once equal the
@@ -134,24 +296,20 @@ func (b *EventBatch) Merge(o *EventBatch) error {
 			return err
 		}
 	}
-	for i, k := range o.Arrivals {
-		if k != 0 {
-			b.AddArrival(n, i, k)
+	for _, i := range o.Nodes() {
+		if i < len(o.Arrivals) && o.Arrivals[i] != 0 {
+			b.AddArrival(n, i, o.Arrivals[i])
 		}
-	}
-	for i, k := range o.Departures {
-		if k != 0 {
-			b.AddDeparture(n, i, k)
+		if i < len(o.Departures) && o.Departures[i] != 0 {
+			b.AddDeparture(n, i, o.Departures[i])
 		}
-	}
-	for i, ws := range o.WeightArrivals {
-		for _, w := range ws {
-			b.AddWeightArrival(n, i, w)
+		if i < len(o.WeightArrivals) {
+			for _, w := range o.WeightArrivals[i] {
+				b.AddWeightArrival(n, i, w)
+			}
 		}
-	}
-	for i, k := range o.WeightDepartures {
-		if k != 0 {
-			b.AddWeightDeparture(n, i, k)
+		if i < len(o.WeightDepartures) && o.WeightDepartures[i] != 0 {
+			b.AddWeightDeparture(n, i, o.WeightDepartures[i])
 		}
 	}
 	return nil
@@ -214,7 +372,8 @@ type EventStepper interface {
 // ApplyCountsBatch applies the uniform-model part of batch to counts in
 // place: arrivals first, then departures clamped to the tasks present.
 // It is the single source of truth for uniform event application,
-// shared by the sequential state and the shard engine.
+// shared by the sequential state and the shard engine, and walks only
+// the batch's touched nodes (EventBatch.Nodes), ascending.
 func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {
@@ -227,28 +386,29 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	if len(batch.Departures) != 0 && len(batch.Departures) != n {
 		return led, fmt.Errorf("core: %d departure entries for %d nodes", len(batch.Departures), n)
 	}
-	for i, a := range batch.Arrivals {
-		if a < 0 {
-			return led, fmt.Errorf("core: negative arrival %d at node %d", a, i)
+	nodes := NodesIn(batch.Nodes(), 0, n)
+	if arr := batch.Arrivals; len(arr) != 0 {
+		for _, i := range nodes {
+			a := arr[i]
+			if a < 0 {
+				return led, fmt.Errorf("core: negative arrival %d at node %d", a, i)
+			}
+			counts[i] += a
+			led.Arrived += a
 		}
-		if a == 0 {
-			continue
-		}
-		counts[i] += a
-		led.Arrived += a
 	}
-	for i, d := range batch.Departures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative departure %d at node %d", d, i)
+	if dep := batch.Departures; len(dep) != 0 {
+		for _, i := range nodes {
+			d := dep[i]
+			if d < 0 {
+				return led, fmt.Errorf("core: negative departure %d at node %d", d, i)
+			}
+			if d > counts[i] {
+				d = counts[i]
+			}
+			counts[i] -= d
+			led.Departed += d
 		}
-		if d > counts[i] {
-			d = counts[i]
-		}
-		if d == 0 {
-			continue
-		}
-		counts[i] -= d
-		led.Departed += d
 	}
 	return led, nil
 }
@@ -372,7 +532,8 @@ func (st *WeightedState) Drain(i, k int) task.Weights {
 
 // ApplyEvents implements the weighted-model event application:
 // WeightArrivals are injected first, then WeightDepartures drain tasks
-// (most recent first, clamped to the queue).
+// (most recent first, clamped to the queue), each over the touched
+// nodes ascending.
 func (st *WeightedState) ApplyEvents(batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {
@@ -385,25 +546,32 @@ func (st *WeightedState) ApplyEvents(batch *EventBatch) (EventLedger, error) {
 	if len(batch.WeightDepartures) != 0 && len(batch.WeightDepartures) != n {
 		return led, fmt.Errorf("core: %d weight-departure entries for %d nodes", len(batch.WeightDepartures), n)
 	}
-	for i, ws := range batch.WeightArrivals {
-		if len(ws) == 0 {
-			continue
-		}
-		if err := st.Inject(i, ws); err != nil {
-			return led, err
-		}
-		led.ArrivedTasks += int64(len(ws))
-		for _, w := range ws {
-			led.ArrivedWeight += w
+	nodes := NodesIn(batch.Nodes(), 0, n)
+	if wa := batch.WeightArrivals; len(wa) != 0 {
+		for _, i := range nodes {
+			ws := wa[i]
+			if len(ws) == 0 {
+				continue
+			}
+			if err := st.Inject(i, ws); err != nil {
+				return led, err
+			}
+			led.ArrivedTasks += int64(len(ws))
+			for _, w := range ws {
+				led.ArrivedWeight += w
+			}
 		}
 	}
-	for i, d := range batch.WeightDepartures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative weight departure %d at node %d", d, i)
+	if wd := batch.WeightDepartures; len(wd) != 0 {
+		for _, i := range nodes {
+			d := wd[i]
+			if d < 0 {
+				return led, fmt.Errorf("core: negative weight departure %d at node %d", d, i)
+			}
+			removed := st.Drain(i, int(d))
+			led.DepartedTasks += int64(len(removed))
+			led.DepartedWeight += removed.Total()
 		}
-		removed := st.Drain(i, int(d))
-		led.DepartedTasks += int64(len(removed))
-		led.DepartedWeight += removed.Total()
 	}
 	return led, nil
 }

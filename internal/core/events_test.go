@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -375,5 +376,217 @@ func TestSeqEngineConstructors(t *testing.T) {
 	}
 	if _, err := SeqWeightedEngine(wst, nil); err == nil {
 		t.Error("nil protocol accepted")
+	}
+}
+
+// randomBatchPair draws a random batch over n nodes twice: once as a
+// dense literal and once through the Add helpers in a shuffled order
+// (weight lists keep their per-node order, the replay contract).
+func randomBatchPair(s *rng.Stream, n int) (lit, added *EventBatch) {
+	lit = &EventBatch{
+		Arrivals:         make([]int64, n),
+		Departures:       make([]int64, n),
+		WeightArrivals:   make([][]float64, n),
+		WeightDepartures: make([]int64, n),
+	}
+	type op struct {
+		kind, node int
+		k          int64
+		w          float64
+	}
+	var ops []op
+	for e := s.Intn(3 * n); e > 0; e-- {
+		o := op{kind: s.Intn(4), node: s.Intn(n), k: int64(1 + s.Intn(3)), w: 0.05 + 0.95*s.Float64()}
+		ops = append(ops, o)
+		switch o.kind {
+		case 0:
+			lit.Arrivals[o.node] += o.k
+		case 1:
+			lit.Departures[o.node] += o.k
+		case 2:
+			lit.WeightArrivals[o.node] = append(lit.WeightArrivals[o.node], o.w)
+		case 3:
+			lit.WeightDepartures[o.node] += o.k
+		}
+	}
+	// Shuffle across nodes and kinds, then hand each node's weight
+	// arrivals their weights in the literal's order.
+	s.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	next := make([]int, n)
+	for k, o := range ops {
+		if o.kind == 2 {
+			ops[k].w = lit.WeightArrivals[o.node][next[o.node]]
+			next[o.node]++
+		}
+	}
+	added = &EventBatch{}
+	for _, o := range ops {
+		switch o.kind {
+		case 0:
+			added.AddArrival(n, o.node, o.k)
+		case 1:
+			added.AddDeparture(n, o.node, o.k)
+		case 2:
+			added.AddWeightArrival(n, o.node, o.w)
+		case 3:
+			added.AddWeightDeparture(n, o.node, o.k)
+		}
+	}
+	return lit, added
+}
+
+// TestEventBatchNodesAddVsLiteral: the touched-node index of a batch
+// built with the Add helpers lists exactly the nodes a scan of the
+// equivalent literal finds, ascending and distinct — and both forms
+// apply to identical ledgers and states on both sequential models.
+func TestEventBatchNodesAddVsLiteral(t *testing.T) {
+	s := rng.New(41)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + s.Intn(40)
+		lit, added := randomBatchPair(s, n)
+		var want []int
+		for i := 0; i < n; i++ {
+			if lit.Arrivals[i] != 0 || lit.Departures[i] != 0 || len(lit.WeightArrivals[i]) != 0 || lit.WeightDepartures[i] != 0 {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(lit.Nodes(), want) || !slices.Equal(added.Nodes(), want) {
+			t.Fatalf("trial %d: literal nodes %v, added nodes %v, want %v", trial, lit.Nodes(), added.Nodes(), want)
+		}
+		if lit.IsZero() != (len(want) == 0) || added.IsZero() != (len(want) == 0) {
+			t.Fatalf("trial %d: IsZero literal %v added %v with %d touched nodes", trial, lit.IsZero(), added.IsZero(), len(want))
+		}
+		sys := eventTestSystem(t, max(n, 3))
+		if sys.N() != n {
+			continue // rings need three nodes; the Nodes check above still ran
+		}
+		counts := make([]int64, n)
+		perNode := make([]task.Weights, n)
+		for i := range counts {
+			counts[i] = int64(s.Intn(4))
+			for k := s.Intn(4); k > 0; k-- {
+				perNode[i] = append(perNode[i], 0.1+0.9*s.Float64())
+			}
+		}
+		var leds [2]EventLedger
+		var totals [2]int64
+		var wsts [2]*WeightedState
+		for f, b := range []*EventBatch{lit, added} {
+			ust, err := NewUniformState(sys, slices.Clone(counts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			uled, err := ust.ApplyEvents(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wst, err := NewWeightedState(sys, perNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wled, err := wst.ApplyEvents(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uled.Add(wled)
+			leds[f], totals[f], wsts[f] = uled, ust.Total(), wst
+		}
+		if leds[0] != leds[1] || totals[0] != totals[1] {
+			t.Fatalf("trial %d: literal ledger %+v total %d, added %+v total %d", trial, leds[0], totals[0], leds[1], totals[1])
+		}
+		for i := 0; i < n; i++ {
+			if !slices.Equal(wsts[0].TaskWeights(i), wsts[1].TaskWeights(i)) || wsts[0].NodeWeight(i) != wsts[1].NodeWeight(i) {
+				t.Fatalf("trial %d: node %d differs between literal and added batch", trial, i)
+			}
+		}
+	}
+}
+
+// TestEventBatchReset: Reset leaves an indexed batch zero with its
+// vectors and weight-list capacity intact, and clears a directly
+// written batch in full, after which the Add helpers index it.
+func TestEventBatchReset(t *testing.T) {
+	var b EventBatch
+	b.AddArrival(8, 3, 2)
+	b.AddDeparture(8, 5, 1)
+	b.AddWeightArrival(8, 6, 0.5)
+	b.AddWeightArrival(8, 6, 0.25)
+	b.AddWeightDeparture(8, 1, 4)
+	arr, dep, wa, wd := b.Arrivals, b.Departures, b.WeightArrivals, b.WeightDepartures
+	list := wa[6]
+	b.Reset()
+	if !b.IsZero() || len(b.Nodes()) != 0 {
+		t.Fatalf("reset batch not zero: nodes %v", b.Nodes())
+	}
+	if !sameVec(b.Arrivals, arr) || !sameVec(b.Departures, dep) || !sameVec(b.WeightArrivals, wa) || !sameVec(b.WeightDepartures, wd) {
+		t.Fatal("Reset replaced the batch's vectors")
+	}
+	if len(b.WeightArrivals[6]) != 0 || cap(b.WeightArrivals[6]) != cap(list) {
+		t.Fatalf("node 6 weight list len %d cap %d, want 0 and %d", len(b.WeightArrivals[6]), cap(b.WeightArrivals[6]), cap(list))
+	}
+	b.AddWeightArrival(8, 2, 1)
+	if got := b.Nodes(); !slices.Equal(got, []int{2}) {
+		t.Fatalf("nodes after reuse %v, want [2]", got)
+	}
+
+	lit := &EventBatch{Arrivals: []int64{0, 4, 0, 1}, WeightArrivals: [][]float64{nil, nil, {0.5}, nil}}
+	lit.Reset()
+	if !lit.IsZero() || lit.WeightArrivals[2] != nil || len(lit.Arrivals) != 4 {
+		t.Fatalf("literal not cleared: %+v", lit)
+	}
+	lit.AddDeparture(4, 3, 1)
+	if !lit.indexed() || !slices.Equal(lit.Nodes(), []int{3}) {
+		t.Fatalf("reset literal not indexed: nodes %v", lit.Nodes())
+	}
+}
+
+// TestEventBatchDirectWrites: vectors written around the Add helpers —
+// assigned after an Add call, or a literal later extended with Add —
+// switch the batch to the scan, so every event is still reported.
+func TestEventBatchDirectWrites(t *testing.T) {
+	var b EventBatch
+	b.AddArrival(6, 4, 1)
+	b.Departures = []int64{0, 0, 3, 0, 0, 0}
+	if got := b.Nodes(); !slices.Equal(got, []int{2, 4}) {
+		t.Fatalf("assigned vector after Add: nodes %v, want [2 4]", got)
+	}
+	b.AddArrival(6, 0, 1) // mixed: the index must not take over
+	if got := b.Nodes(); !slices.Equal(got, []int{0, 2, 4}) {
+		t.Fatalf("Add on a mixed batch: nodes %v, want [0 2 4]", got)
+	}
+	b.Arrivals = slices.Clone(b.Arrivals)
+	b.Arrivals[5] = 7
+	if got := b.Nodes(); !slices.Equal(got, []int{0, 2, 4, 5}) {
+		t.Fatalf("replaced vector: nodes %v, want [0 2 4 5]", got)
+	}
+
+	lit := &EventBatch{WeightDepartures: []int64{0, 2, 0, 0}}
+	lit.AddWeightArrival(4, 3, 0.5)
+	if got := lit.Nodes(); !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("literal extended with Add: nodes %v, want [1 3]", got)
+	}
+	if lit.IsZero() {
+		t.Fatal("mixed batch reported zero")
+	}
+
+	// Events that cancel, and zero-count adds, are not reported.
+	var c EventBatch
+	c.AddArrival(5, 1, 2)
+	c.AddArrival(5, 1, -2)
+	c.AddDeparture(5, 3, 0)
+	if !c.IsZero() || len(c.Nodes()) != 0 {
+		t.Fatalf("cancelled batch reports nodes %v", c.Nodes())
+	}
+}
+
+func TestNodesIn(t *testing.T) {
+	nodes := []int{1, 4, 5, 9, 12}
+	for _, tc := range []struct {
+		lo, hi int
+		want   []int
+	}{{0, 20, nodes}, {4, 9, []int{4, 5}}, {5, 6, []int{5}}, {6, 9, nil}, {13, 20, nil}, {0, 1, nil}} {
+		if got := NodesIn(nodes, tc.lo, tc.hi); !slices.Equal(got, tc.want) {
+			t.Errorf("NodesIn(%d,%d) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }

@@ -55,78 +55,26 @@ const (
 	causeFinal
 )
 
-// pendingBatch is a dense n-node EventBatch plus touched-index lists so
-// it can be recycled round after round by clearing only the entries a
-// batch actually used — at n=10⁶ zeroing the full 8 MB vectors per
-// round would dominate the flush path.
-type pendingBatch struct {
-	n     int
-	batch core.EventBatch
-	tA    []int32 // touched Arrivals indices
-	tD    []int32 // touched Departures indices
-	tWA   []int32 // touched WeightArrivals indices
-	tWD   []int32 // touched WeightDepartures indices
-}
-
-func newPendingBatch(n int) *pendingBatch { return &pendingBatch{n: n} }
-
-func (pb *pendingBatch) add(op Op) {
+// addOp folds one submission into an n-node batch through the batch's
+// Add helpers, which keep its touched-node index: recycling the batch
+// (EventBatch.Reset) then clears only the entries a group used, and the
+// engine and the journal walk only the touched nodes. The zero Count
+// means 1. Journal replay rebuilds batches through the same function.
+func addOp(b *core.EventBatch, n int, op Op) {
 	k := op.Count
 	if k == 0 {
 		k = 1
 	}
 	switch op.Kind {
 	case OpArrive:
-		if pb.batch.Arrivals == nil {
-			pb.batch.Arrivals = make([]int64, pb.n)
-		}
-		if pb.batch.Arrivals[op.Node] == 0 {
-			pb.tA = append(pb.tA, int32(op.Node))
-		}
-		pb.batch.Arrivals[op.Node] += k
+		b.AddArrival(n, op.Node, k)
 	case OpComplete:
-		if pb.batch.Departures == nil {
-			pb.batch.Departures = make([]int64, pb.n)
-		}
-		if pb.batch.Departures[op.Node] == 0 {
-			pb.tD = append(pb.tD, int32(op.Node))
-		}
-		pb.batch.Departures[op.Node] += k
+		b.AddDeparture(n, op.Node, k)
 	case OpArriveWeighted:
-		if pb.batch.WeightArrivals == nil {
-			pb.batch.WeightArrivals = make([][]float64, pb.n)
-		}
-		if len(pb.batch.WeightArrivals[op.Node]) == 0 {
-			pb.tWA = append(pb.tWA, int32(op.Node))
-		}
-		pb.batch.WeightArrivals[op.Node] = append(pb.batch.WeightArrivals[op.Node], op.Weight)
+		b.AddWeightArrival(n, op.Node, op.Weight)
 	case OpCompleteWeighted:
-		if pb.batch.WeightDepartures == nil {
-			pb.batch.WeightDepartures = make([]int64, pb.n)
-		}
-		if pb.batch.WeightDepartures[op.Node] == 0 {
-			pb.tWD = append(pb.tWD, int32(op.Node))
-		}
-		pb.batch.WeightDepartures[op.Node] += k
+		b.AddWeightDeparture(n, op.Node, k)
 	}
-}
-
-// reset clears only the touched entries, keeping the dense vectors and
-// per-node weight-list capacity for the next group.
-func (pb *pendingBatch) reset() {
-	for _, i := range pb.tA {
-		pb.batch.Arrivals[i] = 0
-	}
-	for _, i := range pb.tD {
-		pb.batch.Departures[i] = 0
-	}
-	for _, i := range pb.tWA {
-		pb.batch.WeightArrivals[i] = pb.batch.WeightArrivals[i][:0]
-	}
-	for _, i := range pb.tWD {
-		pb.batch.WeightDepartures[i] = 0
-	}
-	pb.tA, pb.tD, pb.tWA, pb.tWD = pb.tA[:0], pb.tD[:0], pb.tWA[:0], pb.tWD[:0]
 }
 
 // group is one flush unit: the submissions accumulated between two
@@ -134,7 +82,7 @@ func (pb *pendingBatch) reset() {
 // channel; round and err are written before done is closed and are
 // immutable afterwards, which is what makes Ticket.Wait race-free.
 type group struct {
-	pb    *pendingBatch
+	batch *core.EventBatch
 	subs  int
 	first time.Time
 	cause flushCause
@@ -199,7 +147,7 @@ type Batcher struct {
 
 	mu      sync.Mutex
 	pending *group
-	free    []*pendingBatch
+	free    []*core.EventBatch
 	timer   *time.Timer
 	closed  bool
 
@@ -282,12 +230,11 @@ func (b *Batcher) Submit(op Op) (Ticket, error) {
 	}
 	g := b.pending
 	if g == nil {
-		pb := b.takeFreeLocked()
-		g = &group{pb: pb, first: now, done: make(chan struct{})}
+		g = &group{batch: b.takeFreeLocked(), first: now, done: make(chan struct{})}
 		b.pending = g
 		b.armTimerLocked()
 	}
-	g.pb.add(op)
+	addOp(g.batch, b.n, op)
 	g.subs++
 	full := g.subs >= b.batchSize && g.cause == causeNone
 	if full {
@@ -302,13 +249,13 @@ func (b *Batcher) Submit(op Op) (Ticket, error) {
 	return Ticket{g: g, t0: now, m: b.m}, nil
 }
 
-func (b *Batcher) takeFreeLocked() *pendingBatch {
+func (b *Batcher) takeFreeLocked() *core.EventBatch {
 	if k := len(b.free); k > 0 {
-		pb := b.free[k-1]
+		batch := b.free[k-1]
 		b.free = b.free[:k-1]
-		return pb
+		return batch
 	}
-	return newPendingBatch(b.n)
+	return &core.EventBatch{}
 }
 
 // armTimerLocked starts the deadline countdown for a fresh group.
@@ -363,13 +310,14 @@ func (b *Batcher) Take() *group {
 	return g
 }
 
-// Recycle returns a completed group's dense batch to the free pool.
-// Call only after the batch has been applied and journaled; the group's
-// done channel may be closed before or after.
-func (b *Batcher) Recycle(pb *pendingBatch) {
-	pb.reset()
+// Recycle returns a completed group's batch to the free pool, Reset
+// so it keeps its dense vectors and per-node weight-list capacity for
+// the next group. Call only after the batch has been applied and
+// journaled; the group's done channel may be closed before or after.
+func (b *Batcher) Recycle(batch *core.EventBatch) {
+	batch.Reset()
 	b.mu.Lock()
-	b.free = append(b.free, pb)
+	b.free = append(b.free, batch)
 	b.mu.Unlock()
 }
 

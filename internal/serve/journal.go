@@ -56,50 +56,58 @@ type Journal struct {
 // journalVersion guards the on-disk format.
 const journalVersion = 1
 
-// appendEntry converts the taken group's dense batch to sparse form and
-// records it. Touched lists are sorted so the journal is canonical
-// (node-ascending) regardless of submission interleaving; the dense
-// reconstruction at replay is order-insensitive for counts and keeps
-// each node's weight list verbatim.
-func (j *Journal) appendEntry(round int, pb *pendingBatch) {
-	j.Entries = append(j.Entries, entryFromBatch(round, pb))
+// appendEntry converts the taken group's batch to sparse form and
+// records it.
+func (j *Journal) appendEntry(round int, batch *core.EventBatch) {
+	j.Entries = append(j.Entries, entryFromBatch(round, batch))
 }
 
-// entryFromBatch converts a taken group's dense batch to the canonical
-// sparse form (shared by the in-memory journal and the streaming sink).
-func entryFromBatch(round int, pb *pendingBatch) Entry {
+// entryFromBatch converts a taken group's batch to the canonical sparse
+// form (shared by the in-memory journal and the streaming sink). It
+// walks the batch's touched nodes, which are ascending, so the journal
+// is canonical (node-ascending) regardless of submission interleaving;
+// the reconstruction at replay is order-insensitive for counts and
+// keeps each node's weight list verbatim.
+func entryFromBatch(round int, batch *core.EventBatch) Entry {
 	e := Entry{Round: round}
-	if len(pb.tA) > 0 {
-		slices.Sort(pb.tA)
-		e.Arrivals = make([]CountEvent, len(pb.tA))
-		for k, i := range pb.tA {
-			e.Arrivals[k] = CountEvent{Node: int(i), Count: pb.batch.Arrivals[i]}
+	nodes := batch.Nodes()
+	counts := func(v []int64) []CountEvent {
+		cnt := 0
+		for _, i := range nodes {
+			if len(v) != 0 && v[i] != 0 {
+				cnt++
+			}
 		}
-	}
-	if len(pb.tD) > 0 {
-		slices.Sort(pb.tD)
-		e.Departures = make([]CountEvent, len(pb.tD))
-		for k, i := range pb.tD {
-			e.Departures[k] = CountEvent{Node: int(i), Count: pb.batch.Departures[i]}
+		if cnt == 0 {
+			return nil
 		}
+		out := make([]CountEvent, 0, cnt)
+		for _, i := range nodes {
+			if len(v) != 0 && v[i] != 0 {
+				out = append(out, CountEvent{Node: i, Count: v[i]})
+			}
+		}
+		return out
 	}
-	if len(pb.tWA) > 0 {
-		slices.Sort(pb.tWA)
-		e.WeightArrivals = make([]WeightEvent, len(pb.tWA))
-		for k, i := range pb.tWA {
-			e.WeightArrivals[k] = WeightEvent{
-				Node:    int(i),
-				Weights: slices.Clone(pb.batch.WeightArrivals[i]),
+	e.Arrivals = counts(batch.Arrivals)
+	e.Departures = counts(batch.Departures)
+	if wa := batch.WeightArrivals; len(wa) != 0 {
+		cnt := 0
+		for _, i := range nodes {
+			if len(wa[i]) != 0 {
+				cnt++
+			}
+		}
+		if cnt != 0 {
+			e.WeightArrivals = make([]WeightEvent, 0, cnt)
+			for _, i := range nodes {
+				if len(wa[i]) != 0 {
+					e.WeightArrivals = append(e.WeightArrivals, WeightEvent{Node: i, Weights: slices.Clone(wa[i])})
+				}
 			}
 		}
 	}
-	if len(pb.tWD) > 0 {
-		slices.Sort(pb.tWD)
-		e.WeightDepartures = make([]CountEvent, len(pb.tWD))
-		for k, i := range pb.tWD {
-			e.WeightDepartures[k] = CountEvent{Node: int(i), Count: pb.batch.WeightDepartures[i]}
-		}
-	}
+	e.WeightDepartures = counts(batch.WeightDepartures)
 	return e
 }
 
@@ -127,7 +135,7 @@ type replayCursor struct {
 }
 
 func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) {
-	pb := newPendingBatch(j.N)
+	var batch core.EventBatch
 	cur := &replayCursor{}
 	return cur, func(round uint64) *core.EventBatch {
 		for cur.idx < len(j.Entries) && uint64(j.Entries[cur.idx].Round) < round {
@@ -142,22 +150,22 @@ func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) 
 		}
 		e := j.Entries[cur.idx]
 		cur.idx++
-		pb.reset()
+		batch.Reset()
 		for _, a := range e.Arrivals {
-			pb.add(Op{Kind: OpArrive, Node: a.Node, Count: a.Count})
+			addOp(&batch, j.N, Op{Kind: OpArrive, Node: a.Node, Count: a.Count})
 		}
 		for _, d := range e.Departures {
-			pb.add(Op{Kind: OpComplete, Node: d.Node, Count: d.Count})
+			addOp(&batch, j.N, Op{Kind: OpComplete, Node: d.Node, Count: d.Count})
 		}
 		for _, wa := range e.WeightArrivals {
 			for _, w := range wa.Weights {
-				pb.add(Op{Kind: OpArriveWeighted, Node: wa.Node, Weight: w})
+				addOp(&batch, j.N, Op{Kind: OpArriveWeighted, Node: wa.Node, Weight: w})
 			}
 		}
 		for _, d := range e.WeightDepartures {
-			pb.add(Op{Kind: OpCompleteWeighted, Node: d.Node, Count: d.Count})
+			addOp(&batch, j.N, Op{Kind: OpCompleteWeighted, Node: d.Node, Count: d.Count})
 		}
-		return &pb.batch
+		return &batch
 	}
 }
 

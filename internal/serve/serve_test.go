@@ -107,7 +107,7 @@ func TestBatcherSizeTrigger(t *testing.T) {
 	if g.cause != causeSize {
 		t.Fatalf("cause %d, want size", g.cause)
 	}
-	if got := g.pb.batch.Arrivals[0]; got != 3 {
+	if got := g.batch.Arrivals[0]; got != 3 {
 		t.Fatalf("node 0 arrivals %d, want 3 (1 + count 2)", got)
 	}
 	// Once taken, new submissions open a fresh group.
@@ -193,7 +193,7 @@ func TestBatcherDeadlineAfterCloseSubmit(t *testing.T) {
 		t.Fatalf("took group %+v", g)
 	}
 	g.complete(3, nil)
-	b.Recycle(g.pb)
+	b.Recycle(g.batch)
 	round, err := tk.Wait()
 	if err != nil || round != 3 {
 		t.Fatalf("ticket resolved (%d, %v), want (3, nil)", round, err)
@@ -264,7 +264,7 @@ func TestBatcherSubmitRacesCloseSubmit(t *testing.T) {
 				round++
 				applied += int64(g.subs)
 				g.complete(round, nil)
-				b.Recycle(g.pb)
+				b.Recycle(g.batch)
 				continue
 			}
 			if done {
@@ -302,17 +302,24 @@ func TestBatcherSubmitRacesCloseSubmit(t *testing.T) {
 }
 
 func TestPendingBatchRecycleClears(t *testing.T) {
-	pb := newPendingBatch(6)
-	pb.add(Op{Kind: OpArrive, Node: 2, Count: 3})
-	pb.add(Op{Kind: OpComplete, Node: 4, Count: 1})
-	pb.reset()
+	b, err := NewBatcher(6, false, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch core.EventBatch
+	addOp(&batch, 6, Op{Kind: OpArrive, Node: 2, Count: 3})
+	addOp(&batch, 6, Op{Kind: OpComplete, Node: 4, Count: 1})
+	b.Recycle(&batch)
 	for i := 0; i < 6; i++ {
-		if pb.batch.Arrivals[i] != 0 || pb.batch.Departures[i] != 0 {
+		if batch.Arrivals[i] != 0 || batch.Departures[i] != 0 {
 			t.Fatalf("node %d not cleared", i)
 		}
 	}
-	if len(pb.tA) != 0 || len(pb.tD) != 0 {
-		t.Fatal("touched lists not truncated")
+	if !batch.IsZero() || len(batch.Nodes()) != 0 {
+		t.Fatalf("recycled batch still touches %v", batch.Nodes())
+	}
+	if got := b.takeFreeLocked(); got != &batch {
+		t.Fatal("recycled batch not returned to the free pool")
 	}
 }
 

@@ -241,7 +241,7 @@ func (s *Server[S]) runRound(g *group) error {
 	if g != nil {
 		s.m.recordBatch(g.subs, time.Since(g.first))
 		t0 := time.Now()
-		led, err := s.dyn.ApplyEvents(&g.pb.batch)
+		led, err := s.dyn.ApplyEvents(g.batch)
 		d := time.Since(t0)
 		s.m.applyNs.Add(uint64(d))
 		s.cfg.Spans.Span(0, 0, "apply", t0, d)
@@ -251,7 +251,7 @@ func (s *Server[S]) runRound(g *group) error {
 		led.Batches = 1
 		s.res.Ledger.Add(led)
 		if s.journal != nil {
-			s.journal.appendEntry(round, g.pb)
+			s.journal.appendEntry(round, g.batch)
 		}
 	} else {
 		s.m.idleRounds.Add(1)
@@ -275,7 +275,7 @@ func (s *Server[S]) runRound(g *group) error {
 	// The sink sees the entry after the round completes, so the partial
 	// result it may anchor a rotation on reflects that round.
 	if s.cfg.Sink != nil && g != nil {
-		if err := s.cfg.Sink.Append(entryFromBatch(round, g.pb), s.res); err != nil {
+		if err := s.cfg.Sink.Append(entryFromBatch(round, g.batch), s.res); err != nil {
 			return err
 		}
 	}
@@ -377,7 +377,7 @@ func (s *Server[S]) loop() {
 			return
 		}
 		g.complete(uint64(s.res.Rounds), nil)
-		s.b.Recycle(g.pb)
+		s.b.Recycle(g.batch)
 		idleLeft = s.cfg.IdleRounds
 	}
 }
@@ -393,7 +393,7 @@ func (s *Server[S]) drainAndExit() {
 			return
 		}
 		g.complete(uint64(s.res.Rounds), nil)
-		s.b.Recycle(g.pb)
+		s.b.Recycle(g.batch)
 	}
 	s.finish(nil, nil)
 }

@@ -227,7 +227,7 @@ func (c *clusterCore) Step(r uint64, base *rng.Stream) (int64, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	moves, _, err := c.step(r, base, nil)
+	moves, _, err := c.step(r, base, nil, nil)
 	return moves, err
 }
 
@@ -249,26 +249,28 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	if c.closed {
 		return 0, led, ErrClosed
 	}
+	var nodes []int
 	if batch != nil {
-		if err := c.validateBatchShape(batch); err != nil {
+		var err error
+		if nodes, err = c.validateBatchShape(batch); err != nil {
 			return 0, led, err
 		}
-		if c.model == modelWeighted && c.batchMayCross(batch) {
-			var err error
+		if c.model == modelWeighted && c.batchMayCross(batch, nodes) {
 			if led, err = c.materializedEvents(batch); err != nil {
 				return 0, led, err
 			}
 			batch = nil
 		}
 	}
-	moves, evLed, err := c.step(r, base, batch)
+	moves, evLed, err := c.step(r, base, batch, nodes)
 	led.Add(evLed)
 	return moves, led, err
 }
 
 // step runs one round, optionally fusing a pre-validated,
-// non-threshold-crossing event batch into the round's frames.
-func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (int64, core.EventLedger, error) {
+// non-threshold-crossing event batch (with its touched nodes) into the
+// round's frames.
+func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch, nodes []int) (int64, core.EventLedger, error) {
 	var led core.EventLedger
 	t0 := time.Now()
 	words := base.Split(r).Words()
@@ -281,7 +283,7 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 		if batch != nil {
 			c.buf.PutU8(1)
 			lo, hi := c.part.Range(s)
-			encodeEventSlice(&c.buf, c.model, batch, lo, hi)
+			encodeEventSlice(&c.buf, c.model, batch, core.NodesIn(nodes, lo, hi))
 		} else {
 			c.buf.PutU8(0)
 		}
@@ -327,7 +329,7 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 	if batch != nil && c.model == modelWeighted {
 		// Fold the reports into the coordinator-owned accumulators
 		// before the crossing math below reads sinceRecompute.
-		led = c.foldWeightedReports(batch)
+		led = c.foldWeightedReports(batch, nodes)
 	}
 	for s := 0; s < c.p; s++ {
 		src := c.haloSrc[s]
@@ -495,16 +497,17 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 	if batch == nil {
 		return led, nil
 	}
-	if err := c.validateBatchShape(batch); err != nil {
+	nodes, err := c.validateBatchShape(batch)
+	if err != nil {
 		return led, err
 	}
-	if c.model == modelWeighted && c.batchMayCross(batch) {
+	if c.model == modelWeighted && c.batchMayCross(batch, nodes) {
 		return c.materializedEvents(batch)
 	}
 	for s := 0; s < c.p; s++ {
 		lo, hi := c.part.Range(s)
 		c.buf.Reset()
-		encodeEventSlice(&c.buf, c.model, batch, lo, hi)
+		encodeEventSlice(&c.buf, c.model, batch, core.NodesIn(nodes, lo, hi))
 		if err := c.conns[s].WriteFrame(transport.KindEvents, c.buf.B); err != nil {
 			return led, err
 		}
@@ -541,21 +544,21 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 			return led, err
 		}
 	}
-	return c.foldWeightedReports(batch), nil
+	return c.foldWeightedReports(batch, nodes), nil
 }
 
 // batchMayCross reports whether a weighted batch might cross the
 // periodic weight recompute threshold — a conservative upper bound
 // (requested drains, unclamped): if even the bound stays below the
 // threshold, the exact event count cannot cross it.
-func (c *clusterCore) batchMayCross(batch *core.EventBatch) bool {
+func (c *clusterCore) batchMayCross(batch *core.EventBatch, nodes []int) bool {
 	upper := int64(0)
-	for _, ws := range batch.WeightArrivals {
-		upper += int64(len(ws))
-	}
-	for _, d := range batch.WeightDepartures {
-		if d > 0 {
-			upper += d
+	for _, i := range nodes {
+		if len(batch.WeightArrivals) != 0 {
+			upper += int64(len(batch.WeightArrivals[i]))
+		}
+		if len(batch.WeightDepartures) != 0 && batch.WeightDepartures[i] > 0 {
+			upper += batch.WeightDepartures[i]
 		}
 	}
 	return c.sinceRecompute+upper >= int64(core.WeightRecomputeEvery)
@@ -590,12 +593,13 @@ func (c *clusterCore) decodeEventReport(s int, b *transport.Buffer) error {
 // weights in order), then all drains (nodes ascending — shards are
 // contiguous ascending ranges, and each report is node-ascending within
 // its shard) — updating totalW, count and sinceRecompute exactly as the
-// sequential ApplyEvents would.
-func (c *clusterCore) foldWeightedReports(batch *core.EventBatch) core.EventLedger {
+// sequential ApplyEvents would. nodes is the batch's touched list.
+func (c *clusterCore) foldWeightedReports(batch *core.EventBatch, nodes []int) core.EventLedger {
 	var led core.EventLedger
-	for _, ws := range batch.WeightArrivals {
-		if len(ws) == 0 {
-			continue
+	for _, i := range nodes {
+		var ws []float64
+		if len(batch.WeightArrivals) != 0 {
+			ws = batch.WeightArrivals[i]
 		}
 		for _, w := range ws {
 			c.totalW += w
@@ -676,7 +680,9 @@ func (c *clusterCore) materializedEvents(batch *core.EventBatch) (core.EventLedg
 	return led, nil
 }
 
-func (c *clusterCore) validateBatchShape(batch *core.EventBatch) error {
+// validateBatchShape checks a batch's vector lengths and arrival
+// weights and returns its touched nodes, ascending.
+func (c *clusterCore) validateBatchShape(batch *core.EventBatch) ([]int, error) {
 	check := func(l int, what string) error {
 		if l != 0 && l != c.n {
 			return fmt.Errorf("shard: %d %s entries for %d nodes", l, what, c.n)
@@ -684,23 +690,26 @@ func (c *clusterCore) validateBatchShape(batch *core.EventBatch) error {
 		return nil
 	}
 	if err := check(len(batch.Arrivals), "arrival"); err != nil {
-		return err
+		return nil, err
 	}
 	if err := check(len(batch.Departures), "departure"); err != nil {
-		return err
+		return nil, err
 	}
 	if err := check(len(batch.WeightArrivals), "weight-arrival"); err != nil {
-		return err
+		return nil, err
 	}
 	if err := check(len(batch.WeightDepartures), "weight-departure"); err != nil {
-		return err
+		return nil, err
 	}
-	for i, ws := range batch.WeightArrivals {
-		if err := task.Weights(ws).Validate(); err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
+	nodes := batch.Nodes()
+	if wa := batch.WeightArrivals; len(wa) != 0 {
+		for _, i := range nodes {
+			if err := task.Weights(wa[i]).Validate(); err != nil {
+				return nil, fmt.Errorf("node %d: %w", i, err)
+			}
 		}
 	}
-	return nil
+	return nodes, nil
 }
 
 // gatherOwnStates requests and decodes every worker's own-range state.

@@ -259,7 +259,8 @@ func TestClusterRoundBytes(t *testing.T) {
 // batches repeatedly cross it — the case the cluster used to refuse.
 // The materialized path (gather, sequential replay, scatter) must keep
 // every P bit-identical to the sequential engine, mid-batch recomputes
-// included.
+// included. The in-process shard engine runs the same scenario, where
+// the crossing batches take WeightedEngine.ApplyEvents' slow path.
 func TestWeightedClusterRecomputeCrossingEvents(t *testing.T) {
 	old := core.WeightRecomputeEvery
 	core.WeightRecomputeEvery = 96
@@ -303,6 +304,15 @@ func TestWeightedClusterRecomputeCrossingEvents(t *testing.T) {
 		}
 		sameRun(t, "crossing-events", ref, res)
 		sameWeightedState(t, "crossing-events", refState, st)
+	}
+	for _, p := range []int{1, 3} {
+		res, st, err := harness.RunWeightedEngineOpts(harness.EngineShard, sys,
+			core.Algorithm2{}, perNode, nil, opts, harness.EngineOpts{Shards: p})
+		if err != nil {
+			t.Fatalf("shard P=%d: %v", p, err)
+		}
+		sameRun(t, "crossing-events/shard", ref, res)
+		sameWeightedState(t, "crossing-events/shard", refState, st)
 	}
 }
 

@@ -49,12 +49,13 @@ type WeightedEngine struct {
 	// elements of its segment. A pool-resident node's segment is
 	// pool[s][off[s][i-lo] : off[s][i-lo+1]] — off is the fixed slot
 	// layout, so a node whose count shrinks leaves slack at the end of
-	// its slot and the commit mutates it in place, never moving its
-	// neighbors. A node that outgrows its slot is privatized: its tasks
-	// move once into a dedicated slice (priv[s][i-lo], amortized-doubling
-	// capacity) and every later commit runs in place there. spare and
-	// noff are the compaction scratch of the event paths, which rebuild a
-	// touched shard into a packed layout and reset its private segments.
+	// its slot and the commit and the event path mutate it in place,
+	// never moving its neighbors. A node that outgrows its slot is
+	// privatized: its tasks move once into a dedicated slice
+	// (priv[s][i-lo], amortized-doubling capacity) and every later
+	// commit or event runs in place there. spare and noff are the
+	// scratch of maybeCompact, which rebuilds a shard into a packed
+	// layout and resets its private segments.
 	pool   [][]float64
 	spare  [][]float64
 	off    [][]int64
@@ -580,37 +581,14 @@ func (e *WeightedEngine) refreshSum(d, k, i int) {
 // literally the moveTask operations — and the cached weight sum
 // receives the identical sequence of float64 additions and subtractions
 // the sequential engine would apply. The segment needs capacity for the
-// transient peak length (every arrival can precede every removal); a
-// pool-resident node that outgrows its slot is privatized first, with
-// headroom so subsequent growth stays amortized O(1) per task. If the
-// periodic weight recompute fires this round (crossAt ≥ 0), the sum is
-// rebuilt from the array contents at exactly that instant, and the
-// remaining operations continue incrementally from the fresh value.
+// transient peak length (every arrival can precede every removal),
+// which reserve provides. If the periodic weight recompute fires this
+// round (crossAt ≥ 0), the sum is rebuilt from the array contents at
+// exactly that instant, and the remaining operations continue
+// incrementally from the fresh value.
 func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem []int32, remG0 int64) {
 	segLen := e.segLen[d]
-	cur := segLen[k]
-	peak := cur + int64(len(aw))
-	var seg []float64
-	if pv := e.priv[d][k]; pv != nil {
-		if int64(cap(pv)) < peak {
-			np := e.carve(d, growCap(peak))[:cur]
-			copy(np, pv[:cur])
-			e.arenaDead[d] += int64(cap(pv))
-			seg = np
-		} else {
-			seg = pv[:cur]
-		}
-	} else {
-		o := e.off[d]
-		if o[k+1]-o[k] < peak {
-			np := e.carve(d, growCap(peak))[:cur]
-			copy(np, e.pool[d][o[k]:o[k]+cur])
-			e.priv[d][k] = np
-			seg = np
-		} else {
-			seg = e.pool[d][o[k] : o[k]+cur : o[k+1]]
-		}
-	}
+	seg := e.reserve(d, k, segLen[k]+int64(len(aw)))
 	nw := e.nodeWeight[i]
 	cross := e.crossAt
 	crossed := cross < 0
@@ -683,6 +661,34 @@ func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem [
 	if e.priv[d][k] != nil {
 		e.priv[d][k] = seg
 	}
+}
+
+// reserve returns node lo+k of shard d's current segment with capacity
+// for at least peak tasks. A pool-resident node that outgrows its slot
+// is privatized and a private one that outgrows its segment regrows,
+// both into a segment carved from the shard's arena with headroom, so
+// growth across consecutive rounds or event batches stays amortized
+// O(1) per task. The commit's replay and the event path share it.
+func (e *WeightedEngine) reserve(d, k int, peak int64) []float64 {
+	cur := e.segLen[d][k]
+	if pv := e.priv[d][k]; pv != nil {
+		if int64(cap(pv)) >= peak {
+			return pv[:cur]
+		}
+		np := e.carve(d, growCap(peak))[:cur]
+		copy(np, pv[:cur])
+		e.arenaDead[d] += int64(cap(pv))
+		e.priv[d][k] = np
+		return np
+	}
+	o := e.off[d]
+	if o[k+1]-o[k] >= peak {
+		return e.pool[d][o[k] : o[k]+cur : o[k+1]]
+	}
+	np := e.carve(d, growCap(peak))[:cur]
+	copy(np, e.pool[d][o[k]:o[k]+cur])
+	e.priv[d][k] = np
+	return np
 }
 
 // finishReplay stores a replayed node's updated segment, length, and
@@ -838,7 +844,10 @@ func (e *WeightedEngine) Arena() ArenaStats {
 // first, clamped to the queue — and with its exact floating-point
 // bookkeeping order, so ledgers and trajectories stay bit-identical.
 // Unlike the sequential mutator, validation happens up front: an
-// invalid batch returns an error with no partial application.
+// invalid batch returns an error with no partial application. Every
+// pass walks only the batch's touched nodes (EventBatch.Nodes), and
+// each touched node is updated in place (settleEvents), so the cost is
+// O(touched nodes + events), independent of n and of the pool size.
 func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -850,35 +859,45 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 		return led, nil
 	}
 	n := e.csr.N()
-	if len(batch.WeightArrivals) != 0 && len(batch.WeightArrivals) != n {
-		return led, fmt.Errorf("core: %d weight-arrival entries for %d nodes", len(batch.WeightArrivals), n)
+	wa, wd := batch.WeightArrivals, batch.WeightDepartures
+	if len(wa) != 0 && len(wa) != n {
+		return led, fmt.Errorf("core: %d weight-arrival entries for %d nodes", len(wa), n)
 	}
-	if len(batch.WeightDepartures) != 0 && len(batch.WeightDepartures) != n {
-		return led, fmt.Errorf("core: %d weight-departure entries for %d nodes", len(batch.WeightDepartures), n)
+	if len(wd) != 0 && len(wd) != n {
+		return led, fmt.Errorf("core: %d weight-departure entries for %d nodes", len(wd), n)
+	}
+	nodes := core.NodesIn(batch.Nodes(), 0, n)
+	arrivals := func(i int) []float64 {
+		if len(wa) == 0 {
+			return nil
+		}
+		return wa[i]
 	}
 	events := int64(0)
-	for i, ws := range batch.WeightArrivals {
+	for _, i := range nodes {
+		ws := arrivals(i)
 		if err := task.Weights(ws).Validate(); err != nil {
 			return led, fmt.Errorf("node %d: %w", i, err)
 		}
 		events += int64(len(ws))
 	}
-	for i, d := range batch.WeightDepartures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative weight departure %d at node %d", d, i)
+	for _, i := range nodes {
+		if len(wd) != 0 && wd[i] < 0 {
+			return led, fmt.Errorf("core: negative weight departure %d at node %d", wd[i], i)
 		}
 		events += e.drainCount(i, batch)
 	}
 	if e.sinceRecompute+events >= int64(core.WeightRecomputeEvery) {
 		return e.slowApplyEvents(batch)
 	}
-	// Fast path (no recompute fires): two global passes mirror the
-	// sequential loops — all injections (nodes ascending), then all
-	// drains — so the shared totalW and ledger accumulators receive
-	// their float64 operations in the identical global order; the
-	// per-node weight sums see only their own operations, whose order
-	// the per-node grouping preserves.
-	for i, ws := range batch.WeightArrivals {
+	// Fast path (no recompute fires): two passes mirror the sequential
+	// loops — all injections (nodes ascending), then all drains — so the
+	// shared totalW and ledger accumulators receive their float64
+	// operations in the identical global order; the per-node weight sums
+	// see only their own operations, whose order the per-node grouping
+	// preserves.
+	for _, i := range nodes {
+		ws := arrivals(i)
 		if len(ws) == 0 {
 			continue
 		}
@@ -893,17 +912,14 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 			led.ArrivedWeight += w
 		}
 	}
-	for i, d := range batch.WeightDepartures {
+	for _, i := range nodes {
 		k := e.drainCount(i, batch)
-		if d <= 0 || k <= 0 {
+		if k <= 0 {
 			continue
 		}
 		e.sumValid[i] = false
 		oldCnt := e.nodeCount(i)
-		var arr []float64
-		if len(batch.WeightArrivals) != 0 {
-			arr = batch.WeightArrivals[i]
-		}
+		arr := arrivals(i)
 		cut := oldCnt + int64(len(arr)) - k
 		seg := e.nodeSegment(i)
 		t := 0.0
@@ -923,7 +939,9 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 		led.DepartedWeight += t
 	}
 	e.sinceRecompute += events
-	e.rebuildAfterEvents(batch)
+	for _, i := range nodes {
+		e.settleEvents(i, arrivals(i), e.drainCount(i, batch))
+	}
 	return led, nil
 }
 
@@ -962,56 +980,25 @@ func (e *WeightedEngine) nodeSegment(i int) []float64 {
 	return e.seg(s, i-lo)
 }
 
-// rebuildAfterEvents rewrites the pools of every shard touched by the
-// batch: each node keeps (old ++ arrivals) truncated by its applied
-// drain — the layout Inject-then-Drain produces. A touched shard is
-// compacted into a packed pool and its private segments are released;
-// untouched shards keep their layout. A node's content survives the
-// compaction verbatim, so its memoized fold stays valid; nodes with
-// arrivals or drains have theirs invalidated by the caller.
-func (e *WeightedEngine) rebuildAfterEvents(batch *core.EventBatch) {
-	for s := 0; s < e.part.P(); s++ {
-		lo, hi := e.part.Range(s)
-		touched := false
-		for i := lo; i < hi && !touched; i++ {
-			if len(batch.WeightArrivals) != 0 && len(batch.WeightArrivals[i]) > 0 {
-				touched = true
-			}
-			if e.drainCount(i, batch) > 0 {
-				touched = true
-			}
-		}
-		if !touched {
-			continue
-		}
-		segLen, noff := e.segLen[s], e.noff[s]
-		noff[0] = 0
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			a := int64(0)
-			if len(batch.WeightArrivals) != 0 {
-				a = int64(len(batch.WeightArrivals[i]))
-			}
-			noff[k+1] = noff[k] + segLen[k] + a - e.drainCount(i, batch)
-		}
-		spare := growFloats(e.spare[s], noff[hi-lo])
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			newSeg := spare[noff[k]:noff[k+1]]
-			kept := copy(newSeg, e.seg(s, k))
-			if len(batch.WeightArrivals) != 0 {
-				copy(newSeg[kept:], batch.WeightArrivals[i])
-			}
-		}
-		e.pool[s], e.spare[s] = spare, e.pool[s][:0]
-		e.off[s], e.noff[s] = e.noff[s], e.off[s]
-		off := e.off[s]
-		for k := 0; k < hi-lo; k++ {
-			segLen[k] = off[k+1] - off[k]
-			e.priv[s][k] = nil
-		}
-		e.resetArena(s)
+// settleEvents leaves node i holding the layout Inject-then-Drain
+// produces: its old tasks followed by arr, truncated by the drained
+// tasks (drained most recent first, so they are the tail). Only the
+// arrivals that survive the drain are written, into the node's slot
+// slack or — when the node outgrows it — a segment reserve carves from
+// the shard's arena; untouched nodes and shards are never read, and
+// compaction is left to maybeCompact's dead-space trigger. The node's
+// content changes, so the caller has invalidated its memoized fold.
+func (e *WeightedEngine) settleEvents(i int, arr []float64, drained int64) {
+	s := int(e.part.shardOf[i])
+	lo, _ := e.part.Range(s)
+	k := i - lo
+	cur := e.segLen[s][k]
+	final := cur + int64(len(arr)) - drained
+	if final > cur {
+		seg := e.reserve(s, k, final)
+		copy(seg[cur:final], arr)
 	}
+	e.segLen[s][k] = final
 }
 
 // slowApplyEvents is the exact-replication path for the rare batch
@@ -1165,9 +1152,9 @@ func (e *WeightedEngine) Workers() int { return e.workers }
 // Footprint returns the engine's resident state in bytes: the CSR
 // arrays, the task-weight pools and private segments, the offset and
 // length arrays and every flat O(n) vector — the "bytes per node"
-// numerator of the weighted scaling benchmark. The in-place commit
-// keeps no ping-pong twin of the pool; spare is empty until an event
-// batch forces a compaction.
+// numerator of the weighted scaling benchmark. The in-place commit and
+// event path keep no ping-pong twin of the pool; spare is empty until
+// the arena's dead-space trigger (maybeCompact) first compacts a shard.
 func (e *WeightedEngine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -129,20 +129,22 @@ func decodeConfig(b *transport.Buffer) (*clusterConfig, error) {
 	return c, nil
 }
 
-// encodeEventSlice writes the [lo,hi) slice of an event batch: sparse
-// (node, payload) entries in ascending node order.
-func encodeEventSlice(b *transport.Buffer, model uint8, batch *core.EventBatch, lo, hi int) {
+// encodeEventSlice writes one worker's slice of an event batch: sparse
+// (node, payload) entries in ascending node order. nodes is the part of
+// batch.Nodes() inside the worker's [lo,hi) (core.NodesIn), so the
+// coordinator computes the touched list once and splits it per worker.
+func encodeEventSlice(b *transport.Buffer, model uint8, batch *core.EventBatch, nodes []int) {
 	if model == modelUniform {
 		putSparseI64 := func(v []int64) {
 			cnt := uint32(0)
-			for i := lo; i < hi && len(v) != 0; i++ {
-				if v[i] != 0 {
+			for _, i := range nodes {
+				if len(v) != 0 && v[i] != 0 {
 					cnt++
 				}
 			}
 			b.PutU32(cnt)
-			for i := lo; i < hi && len(v) != 0; i++ {
-				if v[i] != 0 {
+			for _, i := range nodes {
+				if len(v) != 0 && v[i] != 0 {
 					b.PutU32(uint32(i))
 					b.PutI64(v[i])
 				}
@@ -152,116 +154,114 @@ func encodeEventSlice(b *transport.Buffer, model uint8, batch *core.EventBatch, 
 		putSparseI64(batch.Departures)
 		return
 	}
+	wa := batch.WeightArrivals
 	cnt := uint32(0)
-	for i := lo; i < hi && len(batch.WeightArrivals) != 0; i++ {
-		if len(batch.WeightArrivals[i]) != 0 {
+	for _, i := range nodes {
+		if len(wa) != 0 && len(wa[i]) != 0 {
 			cnt++
 		}
 	}
 	b.PutU32(cnt)
-	for i := lo; i < hi && len(batch.WeightArrivals) != 0; i++ {
-		if ws := batch.WeightArrivals[i]; len(ws) != 0 {
+	for _, i := range nodes {
+		if len(wa) != 0 && len(wa[i]) != 0 {
 			b.PutU32(uint32(i))
-			b.PutF64s(ws)
+			b.PutF64s(wa[i])
 		}
 	}
+	wd := batch.WeightDepartures
 	cnt = 0
-	for i := lo; i < hi && len(batch.WeightDepartures) != 0; i++ {
-		if batch.WeightDepartures[i] != 0 {
+	for _, i := range nodes {
+		if len(wd) != 0 && wd[i] != 0 {
 			cnt++
 		}
 	}
 	b.PutU32(cnt)
-	for i := lo; i < hi && len(batch.WeightDepartures) != 0; i++ {
-		if k := batch.WeightDepartures[i]; k != 0 {
+	for _, i := range nodes {
+		if len(wd) != 0 && wd[i] != 0 {
 			b.PutU32(uint32(i))
-			b.PutI64(k)
+			b.PutI64(wd[i])
 		}
 	}
 }
 
-// decodeEventSlice rebuilds a full-length event batch whose entries
-// outside the worker's range are zero.
-func decodeEventSlice(b *transport.Buffer, model uint8, n int) (*core.EventBatch, error) {
-	batch := &core.EventBatch{}
-	if model == modelUniform {
-		readSparse := func() ([]int64, error) {
-			cnt, err := b.U32()
+// decodeEventSlice decodes one worker's event slice for an n-node
+// system into batch, which it Resets first, so a worker reuses one
+// batch — and its n-long vectors — round after round. Entries go
+// through the Add helpers, so the batch stays indexed. Every section's
+// nodes must lie in the worker's [lo,hi) and be strictly ascending, and
+// every entry must carry an event (a non-zero count, a non-empty weight
+// list) — exactly what encodeEventSlice writes — so a node the worker
+// does not own cannot reach its state or its event report, and a
+// duplicate cannot silently merge.
+func decodeEventSlice(b *transport.Buffer, model uint8, n, lo, hi int, batch *core.EventBatch) error {
+	batch.Reset()
+	// section reads one sparse section, calling entry for each node
+	// after the range and order checks.
+	section := func(what string, entry func(i int) error) error {
+		cnt, err := b.U32()
+		if err != nil {
+			return err
+		}
+		prev := -1
+		for j := uint32(0); j < cnt; j++ {
+			v, err := b.U32()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if cnt == 0 {
-				return nil, nil
+			i := int(v)
+			if i < lo || i >= hi || i >= n {
+				return fmt.Errorf("shard: %s event at node %d outside the worker's range [%d,%d)", what, i, lo, hi)
 			}
-			v := make([]int64, n)
-			for j := uint32(0); j < cnt; j++ {
-				i, err := b.U32()
-				if err != nil {
-					return nil, err
-				}
-				k, err := b.I64()
-				if err != nil {
-					return nil, err
-				}
-				if int(i) >= n {
-					return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-				}
-				v[i] = k
+			if i <= prev {
+				return fmt.Errorf("shard: %s event at node %d after node %d", what, i, prev)
 			}
-			return v, nil
+			prev = i
+			if err := entry(i); err != nil {
+				return err
+			}
 		}
-		var err error
-		if batch.Arrivals, err = readSparse(); err != nil {
-			return nil, err
-		}
-		if batch.Departures, err = readSparse(); err != nil {
-			return nil, err
-		}
-		return batch, nil
+		return nil
 	}
-	cnt, err := b.U32()
+	count := func(what string, add func(n, i int, k int64)) error {
+		return section(what, func(i int) error {
+			k, err := b.I64()
+			if err != nil {
+				return err
+			}
+			if k == 0 {
+				return fmt.Errorf("shard: empty %s event at node %d", what, i)
+			}
+			add(n, i, k)
+			return nil
+		})
+	}
+	if model == modelUniform {
+		if err := count("arrival", batch.AddArrival); err != nil {
+			return err
+		}
+		return count("departure", batch.AddDeparture)
+	}
+	err := section("weight-arrival", func(i int) error {
+		k, err := b.U32()
+		if err != nil {
+			return err
+		}
+		if k == 0 {
+			return fmt.Errorf("shard: empty weight-arrival event at node %d", i)
+		}
+		if b.Remaining() < int(k)*8 {
+			return fmt.Errorf("shard: %d arrival weights in %d bytes", k, b.Remaining())
+		}
+		for ; k > 0; k-- {
+			w, _ := b.F64() // cannot fail: the length was checked above
+			batch.AddWeightArrival(n, i, w)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if cnt > 0 {
-		batch.WeightArrivals = make([][]float64, n)
-	}
-	for j := uint32(0); j < cnt; j++ {
-		i, err := b.U32()
-		if err != nil {
-			return nil, err
-		}
-		ws, err := b.F64s(nil)
-		if err != nil {
-			return nil, err
-		}
-		if int(i) >= n {
-			return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-		}
-		batch.WeightArrivals[i] = ws
-	}
-	cnt, err = b.U32()
-	if err != nil {
-		return nil, err
-	}
-	if cnt > 0 {
-		batch.WeightDepartures = make([]int64, n)
-	}
-	for j := uint32(0); j < cnt; j++ {
-		i, err := b.U32()
-		if err != nil {
-			return nil, err
-		}
-		k, err := b.I64()
-		if err != nil {
-			return nil, err
-		}
-		if int(i) >= n {
-			return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-		}
-		batch.WeightDepartures[i] = k
-	}
-	return batch, nil
+	return count("weight-departure", batch.AddWeightDeparture)
 }
 
 // ownState is a worker's own-range state: the payload of KindState

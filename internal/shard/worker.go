@@ -121,6 +121,9 @@ type worker struct {
 	// shipped either standalone (KindEventsReport) or piggybacked on the
 	// round's boundary-loads frame.
 	evbuf transport.Buffer
+	// batch is the one event batch every event frame decodes into; it is
+	// Reset per frame, so an event round costs O(own events), not O(n).
+	batch core.EventBatch
 
 	scratch []float64 // drain-report / state-gather staging
 
@@ -349,11 +352,10 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	}
 	w.evbuf.Reset()
 	if evFlag != 0 {
-		batch, err := decodeEventSlice(&b, w.model, w.n)
-		if err != nil {
+		if err := decodeEventSlice(&b, w.model, w.n, w.lo, w.hi, &w.batch); err != nil {
 			return 0, err
 		}
-		if err := w.applyLocalEvents(batch); err != nil {
+		if err := w.applyLocalEvents(&w.batch); err != nil {
 			return 0, err
 		}
 	}
@@ -527,12 +529,11 @@ func (w *worker) loadGrantWFlows(b *transport.Buffer) error {
 func (w *worker) events(payload []byte) error {
 	var b transport.Buffer
 	b.Load(payload)
-	batch, err := decodeEventSlice(&b, w.model, w.n)
-	if err != nil {
+	if err := decodeEventSlice(&b, w.model, w.n, w.lo, w.hi, &w.batch); err != nil {
 		return err
 	}
 	w.evbuf.Reset()
-	if err := w.applyLocalEvents(batch); err != nil {
+	if err := w.applyLocalEvents(&w.batch); err != nil {
 		return err
 	}
 	return w.conn.WriteFrame(transport.KindEventsReport, w.evbuf.B)
@@ -559,14 +560,15 @@ func (w *worker) applyLocalEvents(batch *core.EventBatch) error {
 		return nil
 	}
 	e := w.we
+	nodes := batch.Nodes() // own-range only: decodeEventSlice checks it
 	cnt := uint32(0)
-	for i := w.lo; i < w.hi; i++ {
+	for _, i := range nodes {
 		if e.drainCount(i, batch) > 0 {
 			cnt++
 		}
 	}
 	w.evbuf.PutU32(cnt)
-	for i := w.lo; i < w.hi; i++ {
+	for _, i := range nodes {
 		k := e.drainCount(i, batch)
 		if k <= 0 {
 			continue
