@@ -29,7 +29,7 @@ bench-check:
 # when a slowdown is intentional. Two steps (not a pipe) so a failing
 # benchmark run fails the target instead of writing a truncated JSON.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.txt > BENCH_core.json
 	rm -f BENCH_core.txt
 
@@ -39,7 +39,7 @@ bench-json:
 # the committed bench-gate baseline recording rounds/sec, allocs/round,
 # state-bytes/node and cluster wire bytes/round versus n across PRs.
 bench-scale:
-	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.txt
 	$(GO) run ./cmd/benchjson < BENCH_scale.txt > BENCH_scale.json
 	rm -f BENCH_scale.txt
 
@@ -50,7 +50,7 @@ bench-scale:
 # BENCH_serve.json, the committed bench-gate baseline.
 SERVE_SUSTAIN ?= 10s
 bench-serve:
-	SERVE_SUSTAIN=$(SERVE_SUSTAIN) $(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound|ServeSustained' -benchtime 1x . > BENCH_serve.txt
+	SERVE_SUSTAIN=$(SERVE_SUSTAIN) GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound|ServeSustained' -benchtime 1x . > BENCH_serve.txt
 	$(GO) run ./cmd/benchjson < BENCH_serve.txt > BENCH_serve.json
 	rm -f BENCH_serve.txt
 
@@ -72,15 +72,20 @@ bench-serve:
 # allocs/op pairs against a growth budget, and -max-allocs pins the
 # weighted shard round at n=10⁶ under 1,000 allocs/round absolutely —
 # the bound the O(movers) arena decide established.
+#
+# Every benchmark line here and in the baseline targets pins
+# GOMAXPROCS=1: Go suffixes benchmark names with -N when GOMAXPROCS is
+# N > 1, so fresh runs at any other value would share no name with the
+# baselines, and benchgate fails a run in which nothing matched.
 BENCH_GATE_TOLERANCE ?= 1.5
 bench-gate:
-	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.fresh.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.fresh.txt > BENCH_core.fresh.json
 	rm -f BENCH_core.fresh.txt
-	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.fresh.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_scale.fresh.txt > BENCH_scale.fresh.json
 	rm -f BENCH_scale.fresh.txt
-	$(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound' -benchtime 1x . > BENCH_serve.fresh.txt
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound' -benchtime 1x . > BENCH_serve.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_serve.fresh.txt > BENCH_serve.fresh.json
 	rm -f BENCH_serve.fresh.txt
 	$(GO) run ./cmd/benchgate -tolerance $(BENCH_GATE_TOLERANCE) \
@@ -114,9 +119,9 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Short native-fuzzing pass over the samplers, the graph generators, the
-# checkpoint and event-slice decoders and the journal-meta instance
-# decoder (each -fuzz run accepts exactly one target, hence one line
-# per target). CI runs this on every push; longer local sessions can
+# checkpoint and event-slice decoders, the journal-meta instance
+# decoder and the journal reader (each -fuzz run accepts exactly one
+# target, hence one line per target). CI runs this on every push; longer local sessions can
 # raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
@@ -128,5 +133,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEventSlice$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecFromMeta$$' -fuzztime $(FUZZTIME) ./internal/instance
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 ci: vet build race bench-check

@@ -43,10 +43,11 @@
 // silently void its ceiling.
 //
 // Exit status: 0 all benchmarks within tolerance, 1 at least one
-// regression, 2 usage or I/O error. Benchmarks present on only one
-// side are reported but never gate — a renamed or new benchmark must
-// not break CI, it just won't be judged until the baseline is
-// refreshed.
+// regression or no matched benchmark at all, 2 usage or I/O error.
+// Benchmarks present on only one side are reported but never gate — a
+// renamed or new benchmark must not break CI, it just won't be judged
+// until the baseline is refreshed — but a run in which no benchmark
+// matches fails: it would gate nothing.
 package main
 
 import (
@@ -129,8 +130,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: warning: %s\n", m)
 	}
 	if len(pairs) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: warning: no benchmarks matched; nothing to gate")
-		return
+		// A gate that matched nothing judged nothing; passing it would
+		// hide, e.g., fresh names carrying a -N GOMAXPROCS suffix the
+		// baselines lack.
+		fmt.Fprintln(os.Stderr, "benchgate: FAIL: no benchmarks matched; the baseline and fresh runs share no name (same GOMAXPROCS?)")
+		os.Exit(1)
 	}
 	normalize(pairs, *minMatched)
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].normed > pairs[j].normed })

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -171,5 +177,64 @@ func TestJudgeCeilings(t *testing.T) {
 	}
 	if _, err := judgeCeilings(fresh, []ceiling{{pattern: "Renamed", limit: 1}}); err == nil {
 		t.Error("pattern matching nothing accepted, want error")
+	}
+}
+
+// TestMain lets a test run the command itself: with BENCHGATE_RUN_MAIN
+// set, the test binary runs main on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHGATE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runGate runs benchgate on one baseline=fresh pair of benchmark sets
+// and returns its exit code and output.
+func runGate(t *testing.T, base, fresh []Bench) (int, string) {
+	t.Helper()
+	dir := t.TempDir()
+	write := func(name string, benches []Bench) string {
+		data, err := json.Marshal(benches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cmd := exec.Command(os.Args[0], write("base.json", base)+"="+write("fresh.json", fresh))
+	cmd.Env = append(os.Environ(), "BENCHGATE_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// TestGateFailsWhenNothingMatches: baseline and fresh files whose names
+// are disjoint — here the -2 suffix a GOMAXPROCS=2 run adds — gate
+// nothing, and that must fail rather than pass; the same benchmarks
+// under matching names pass.
+func TestGateFailsWhenNothingMatches(t *testing.T) {
+	base := []Bench{bench("BenchmarkA", 0, 2e7), bench("BenchmarkB", 0, 3e7), bench("BenchmarkC", 0, 4e7)}
+	var suffixed []Bench
+	for _, b := range base {
+		b.Procs = 2
+		suffixed = append(suffixed, b)
+	}
+	code, out := runGate(t, base, suffixed)
+	if code != 1 || !strings.Contains(out, "no benchmarks matched") {
+		t.Fatalf("disjoint names: exit %d, output:\n%s", code, out)
+	}
+	if code, out := runGate(t, base, base); code != 0 {
+		t.Fatalf("matching names: exit %d, output:\n%s", code, out)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -92,169 +93,254 @@ type Engine[S State] interface {
 	State() (S, error)
 }
 
-// Drive is the single run loop shared by every engine and both task
-// models: it executes protocol rounds until stop returns true or
-// opts.MaxRounds is exhausted, evaluating the stop condition every
-// CheckEvery rounds and sampling a TracePoint every TraceEvery rounds.
-// On every completed run — convergence, nil-stop completion, or the
-// ErrMaxRounds exit — round 0 and the final round are always included
-// in the trace; only an engine failure (a Step or State error, e.g.
-// ErrClosed) returns the partial result as-is. A nil stop runs all
-// MaxRounds and reports convergence; a non-nil stop that never fires
-// yields an error wrapping ErrMaxRounds.
-func Drive[S State](e Engine[S], stop func(S) bool, opts RunOpts) (RunResult, error) {
+// ErrBadProgress is wrapped into the error of restoring a Run from a
+// Progress that contradicts itself or its RunOpts: no run produced it.
+var ErrBadProgress = errors.New("core: inconsistent run progress")
+
+// Progress is the resumable position of a Run: the partial result and
+// the round of the last trace point (−1 before any). With the RunOpts
+// and the engine state after round Result.Rounds it is all a run needs
+// to continue bit-exactly, since round r's randomness derives from the
+// seed alone (rng.At keying). Cluster checkpoints (LBCK) serialize it.
+type Progress struct {
+	Result     RunResult
+	LastTraced int
+}
+
+// Validate reports, wrapping ErrBadProgress, a progress no run under
+// opts can reach: invalid options, a round outside [0, MaxRounds],
+// trace points out of order, past the round or with tracing off, or a
+// LastTraced other than the last trace point's round.
+func (p Progress) Validate(opts RunOpts) error {
 	if err := opts.validate(); err != nil {
-		return RunResult{}, err
+		return fmt.Errorf("%w: %v", ErrBadProgress, err)
+	}
+	round, trace := p.Result.Rounds, p.Result.Trace
+	if round < 0 || round > opts.MaxRounds {
+		return fmt.Errorf("%w: round %d outside [0, %d]", ErrBadProgress, round, opts.MaxRounds)
+	}
+	if opts.TraceEvery == 0 && len(trace) != 0 {
+		return fmt.Errorf("%w: %d trace points with tracing off", ErrBadProgress, len(trace))
+	}
+	last := -1
+	for k, tp := range trace {
+		if tp.Round <= last || tp.Round > round {
+			return fmt.Errorf("%w: trace point %d at round %d is not in (%d, %d]", ErrBadProgress, k, tp.Round, last, round)
+		}
+		last = tp.Round
+	}
+	if p.LastTraced != last {
+		return fmt.Errorf("%w: last traced round %d, but the trace ends at round %d", ErrBadProgress, p.LastTraced, last)
+	}
+	return nil
+}
+
+// Run is the resumable cursor every round loop steps (Drive, the serve
+// loop, the checkpointing cluster drive). It alone writes the RunResult:
+// moves, rounds, ledger and trace (round 0, every TraceEvery-th round
+// and the final round, each once). Callers decide when to step and stop.
+type Run[S State] struct {
+	e          Engine[S]
+	dyn        DynamicEngine
+	es         EventStepper
+	stop       func(S) bool
+	opts       RunOpts
+	base       *rng.Stream
+	res        RunResult
+	lastTraced int
+}
+
+// NewRun validates opts and starts a run of e under stop (nil: run all
+// MaxRounds). A nil from starts fresh and records round 0; otherwise
+// the run continues from the progress, which must pass Validate, and e
+// must hold the state after round from.Result.Rounds.
+func NewRun[S State](e Engine[S], stop func(S) bool, opts RunOpts, from *Progress) (*Run[S], error) {
+	err := opts.validate()
+	if from != nil {
+		err = from.Validate(opts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if e == nil {
-		return RunResult{}, errors.New("core: nil engine")
+		return nil, errors.New("core: nil engine")
 	}
-	check := opts.CheckEvery
-	if check == 0 {
-		check = 1
+	r := &Run[S]{e: e, stop: stop, opts: opts, base: rng.New(opts.Seed), lastTraced: -1}
+	r.dyn, _ = any(e).(DynamicEngine)
+	r.es, _ = any(e).(EventStepper)
+	if opts.Events != nil && r.dyn == nil {
+		return nil, fmt.Errorf("core: engine %T does not support workload events", e)
 	}
-	var dyn DynamicEngine
-	if opts.Events != nil {
-		var ok bool
-		dyn, ok = any(e).(DynamicEngine)
-		if !ok {
-			return RunResult{}, fmt.Errorf("core: engine %T does not support workload events", e)
+	if from == nil {
+		if err := r.record(0); err != nil {
+			return nil, err
 		}
+		return r, nil
 	}
-	base := rng.New(opts.Seed)
-	var res RunResult
-	lastTraced := -1
-	record := func(round int) error {
-		if opts.TraceEvery <= 0 || round == lastTraced {
-			return nil
-		}
-		st, err := e.State()
-		if err != nil {
+	// A private trace keeps two runs resumed from one progress from
+	// appending into each other's spare capacity.
+	r.res, r.lastTraced = from.Result, from.LastTraced
+	r.res.Trace = slices.Clone(from.Result.Trace)
+	return r, nil
+}
+
+// Round reports the last completed round.
+func (r *Run[S]) Round() int { return r.res.Rounds }
+
+// Result returns the result so far: after a failed call, the partial
+// result up to the last completed round.
+func (r *Run[S]) Result() RunResult { return r.res }
+
+// Progress returns the position NewRun resumes from.
+func (r *Run[S]) Progress() Progress { return Progress{Result: r.res, LastTraced: r.lastTraced} }
+
+// Apply applies batch as workload arriving before the next round and
+// adds it to the ledger as one batch.
+func (r *Run[S]) Apply(batch *EventBatch) error {
+	if r.dyn == nil {
+		return fmt.Errorf("core: engine %T does not support workload events", r.e)
+	}
+	led, err := r.dyn.ApplyEvents(batch)
+	if err != nil {
+		return err
+	}
+	led.Batches = 1
+	r.res.Ledger.Add(led)
+	return nil
+}
+
+// Step executes the next round, after applying its RunOpts.Events
+// batch when one is due, and samples the trace on TraceEvery rounds.
+func (r *Run[S]) Step() error {
+	round := r.res.Rounds + 1
+	var batch *EventBatch
+	if r.opts.Events != nil {
+		batch = r.opts.Events(uint64(round))
+	}
+	var moves int64
+	var err error
+	if batch != nil && r.es != nil {
+		// Fused path: the cluster piggybacks the batch on the round frame,
+		// saving a barrier round-trip. Bit-identical to Apply then Step.
+		var led EventLedger
+		if moves, led, err = r.es.StepEvents(uint64(round), r.base, batch); err != nil {
 			return err
 		}
-		res.Trace = append(res.Trace, TracePoint{
-			Round:  round,
-			Psi0:   st.Psi0(),
-			Psi1:   st.Psi1(),
-			LDelta: st.LDelta(),
-			Moves:  res.Moves,
-		})
-		lastTraced = round
+		led.Batches = 1
+		r.res.Ledger.Add(led)
+	} else {
+		if batch != nil {
+			if err := r.Apply(batch); err != nil {
+				return err
+			}
+		}
+		if moves, err = r.e.Step(uint64(round), r.base); err != nil {
+			return err
+		}
+	}
+	r.res.Moves += moves
+	r.res.Rounds = round
+	if r.opts.TraceEvery > 0 && round%r.opts.TraceEvery == 0 {
+		return r.record(round)
+	}
+	return nil
+}
+
+// Done reports whether the run is over: the stop condition held on a
+// CheckEvery round (the run converged) or all MaxRounds are complete.
+func (r *Run[S]) Done() (bool, error) {
+	if r.stop != nil && r.res.Rounds%max(r.opts.CheckEvery, 1) == 0 {
+		st, err := r.e.State()
+		if err != nil {
+			return false, err
+		}
+		if r.stop(st) {
+			r.res.Converged = true
+			return true, nil
+		}
+	}
+	return r.res.Rounds >= r.opts.MaxRounds, nil
+}
+
+// Finish records the final round's trace point and returns the result:
+// converged if the stop condition fired or there is none, otherwise
+// with an error wrapping ErrMaxRounds.
+func (r *Run[S]) Finish() (RunResult, error) {
+	if err := r.record(r.res.Rounds); err != nil {
+		return r.res, err
+	}
+	if r.stop == nil {
+		r.res.Converged = true
+	}
+	if !r.res.Converged {
+		return r.res, fmt.Errorf("%w after %d rounds", ErrMaxRounds, r.res.Rounds)
+	}
+	return r.res, nil
+}
+
+// record samples a trace point at round, at most once per round.
+func (r *Run[S]) record(round int) error {
+	if r.opts.TraceEvery <= 0 || round == r.lastTraced {
 		return nil
 	}
-	if err := record(0); err != nil {
-		return res, err
+	st, err := r.e.State()
+	if err != nil {
+		return err
 	}
-	if stop != nil {
-		st, err := e.State()
+	r.res.Trace = append(r.res.Trace, TracePoint{
+		Round:  round,
+		Psi0:   st.Psi0(),
+		Psi1:   st.Psi1(),
+		LDelta: st.LDelta(),
+		Moves:  r.res.Moves,
+	})
+	r.lastTraced = round
+	return nil
+}
+
+// Drive steps a fresh Run of e until stop returns true (checked every
+// CheckEvery rounds) or opts.MaxRounds is exhausted. A nil stop runs all
+// MaxRounds and converges; a stop that never fires ends in ErrMaxRounds.
+// An engine failure (a Step or State error, e.g. ErrClosed) returns the
+// partial result as-is, without the final trace point.
+func Drive[S State](e Engine[S], stop func(S) bool, opts RunOpts) (RunResult, error) {
+	r, err := NewRun(e, stop, opts, nil)
+	if err != nil {
+		return RunResult{}, err
+	}
+	for {
+		done, err := r.Done()
 		if err != nil {
-			return res, err
+			return r.Result(), err
 		}
-		if stop(st) {
-			res.Converged = true
-			return res, nil
+		if done {
+			return r.Finish()
 		}
-	}
-	es, _ := any(e).(EventStepper)
-	for round := 1; round <= opts.MaxRounds; round++ {
-		var batch *EventBatch
-		if dyn != nil {
-			batch = opts.Events(uint64(round))
-		}
-		var moves int64
-		var err error
-		if batch != nil && es != nil {
-			// Fused path: the engine carries the batch into the round
-			// itself (the cluster piggybacks it on the round frame),
-			// saving a barrier round-trip. Bit-identical to the split
-			// path below.
-			var led EventLedger
-			moves, led, err = es.StepEvents(uint64(round), base, batch)
-			if err != nil {
-				return res, err
-			}
-			led.Batches = 1
-			res.Ledger.Add(led)
-		} else {
-			if batch != nil {
-				led, err := dyn.ApplyEvents(batch)
-				if err != nil {
-					return res, err
-				}
-				led.Batches = 1
-				res.Ledger.Add(led)
-			}
-			if moves, err = e.Step(uint64(round), base); err != nil {
-				return res, err
-			}
-		}
-		res.Moves += moves
-		res.Rounds = round
-		if opts.TraceEvery > 0 && round%opts.TraceEvery == 0 {
-			if err := record(round); err != nil {
-				return res, err
-			}
-		}
-		if stop != nil && round%check == 0 {
-			st, err := e.State()
-			if err != nil {
-				return res, err
-			}
-			if stop(st) {
-				res.Converged = true
-				if err := record(round); err != nil {
-					return res, err
-				}
-				return res, nil
-			}
+		if err := r.Step(); err != nil {
+			return r.Result(), err
 		}
 	}
-	// The run ended at MaxRounds (either a nil stop ran to completion or
-	// the stop condition never fired): the final round still belongs in
-	// the trace.
-	if err := record(res.Rounds); err != nil {
-		return res, err
-	}
-	if stop == nil {
-		res.Converged = true
-		return res, nil
-	}
-	return res, fmt.Errorf("%w after %d rounds", ErrMaxRounds, res.Rounds)
 }
 
-// seqUniform adapts a sequential (state, protocol) pair to the Engine
-// surface. Step mutates the caller's state in place, so after Drive
-// returns the state holds the final distribution.
-type seqUniform struct {
-	st *UniformState
-	p  UniformProtocol
+// seqEngine adapts a sequential state and its protocol's round to the
+// Engine (and DynamicEngine) surface. Step mutates the caller's state in
+// place, so after Drive returns the state holds the final distribution.
+type seqEngine[S interface {
+	State
+	ApplyEvents(*EventBatch) (EventLedger, error)
+}] struct {
+	st   S
+	step func(S, uint64, *rng.Stream) int64
 }
 
-func (e seqUniform) Step(round uint64, base *rng.Stream) (int64, error) {
-	return e.p.Step(e.st, round, base), nil
+func (e seqEngine[S]) Step(round uint64, base *rng.Stream) (int64, error) {
+	return e.step(e.st, round, base), nil
 }
 
-func (e seqUniform) State() (*UniformState, error) { return e.st, nil }
+func (e seqEngine[S]) State() (S, error) { return e.st, nil }
 
 // ApplyEvents implements DynamicEngine by mutating the caller's state.
-func (e seqUniform) ApplyEvents(batch *EventBatch) (EventLedger, error) {
-	return e.st.ApplyEvents(batch)
-}
-
-// seqWeighted adapts a sequential weighted (state, protocol) pair.
-type seqWeighted struct {
-	st *WeightedState
-	p  WeightedProtocol
-}
-
-func (e seqWeighted) Step(round uint64, base *rng.Stream) (int64, error) {
-	return int64(e.p.Step(e.st, round, base)), nil
-}
-
-func (e seqWeighted) State() (*WeightedState, error) { return e.st, nil }
-
-// ApplyEvents implements DynamicEngine by mutating the caller's state.
-func (e seqWeighted) ApplyEvents(batch *EventBatch) (EventLedger, error) {
+func (e seqEngine[S]) ApplyEvents(batch *EventBatch) (EventLedger, error) {
 	return e.st.ApplyEvents(batch)
 }
 
@@ -266,7 +352,7 @@ func SeqUniformEngine(st *UniformState, p UniformProtocol) (Engine[*UniformState
 	if st == nil || p == nil {
 		return nil, errors.New("core: nil state or protocol")
 	}
-	return seqUniform{st: st, p: p}, nil
+	return seqEngine[*UniformState]{st: st, step: p.Step}, nil
 }
 
 // SeqWeightedEngine wraps a sequential weighted (state, protocol) pair
@@ -276,7 +362,8 @@ func SeqWeightedEngine(st *WeightedState, p WeightedProtocol) (Engine[*WeightedS
 	if st == nil || p == nil {
 		return nil, errors.New("core: nil state or protocol")
 	}
-	return seqWeighted{st: st, p: p}, nil
+	step := func(st *WeightedState, r uint64, base *rng.Stream) int64 { return int64(p.Step(st, r, base)) }
+	return seqEngine[*WeightedState]{st: st, step: step}, nil
 }
 
 // UniformStop decides whether a uniform-state run may stop.

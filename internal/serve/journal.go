@@ -56,12 +56,6 @@ type Journal struct {
 // journalVersion guards the on-disk format.
 const journalVersion = 1
 
-// appendEntry converts the taken group's batch to sparse form and
-// records it.
-func (j *Journal) appendEntry(round int, batch *core.EventBatch) {
-	j.Entries = append(j.Entries, entryFromBatch(round, batch))
-}
-
 // entryFromBatch converts a taken group's batch to the canonical sparse
 // form (shared by the in-memory journal and the streaming sink). It
 // walks the batch's touched nodes, which are ascending, so the journal
@@ -111,19 +105,7 @@ func entryFromBatch(round int, batch *core.EventBatch) Entry {
 	return e
 }
 
-// Events returns a core.RunOpts.Events function replaying the journaled
-// batches: a pure function of the round number backed by one reused
-// dense batch (valid until the next call, exactly how Drive consumes
-// it). Entries must be round-ascending, which appendEntry guarantees.
-// Use Replay to also get the skipped-entry detection: the closure's
-// signature cannot surface errors, so a journal whose entries the
-// driver jumps past is only reported through the cursor.
-func (j *Journal) Events() func(round uint64) *core.EventBatch {
-	_, events := j.events()
-	return events
-}
-
-// replayCursor is the shared state behind an Events closure. Replay
+// replayCursor is the shared state behind the events closure. Replay
 // inspects it after the drive: a skipped entry (the driver asked for a
 // later round while an earlier entry was still pending) or a leftover
 // entry (a round the drive never reached) means the replay did NOT
@@ -134,6 +116,11 @@ type replayCursor struct {
 	err error
 }
 
+// events returns a core.RunOpts.Events function replaying the journaled
+// batches: a pure function of the round number backed by one reused
+// batch (valid until the next call, exactly how Drive consumes it),
+// and the cursor that reports entries it skipped. Entries must be
+// round-ascending, which the serve loop guarantees.
 func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) {
 	var batch core.EventBatch
 	cur := &replayCursor{}
@@ -169,21 +156,6 @@ func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) 
 	}
 }
 
-// RunOpts returns the core.RunOpts that replays this journal: same
-// seed, same trace cadence, MaxRounds pinned to the live round count,
-// Events feeding the recorded batches.
-func (j *Journal) RunOpts() (core.RunOpts, error) {
-	if j.Rounds <= 0 {
-		return core.RunOpts{}, fmt.Errorf("serve: journal records %d rounds; nothing to replay", j.Rounds)
-	}
-	return core.RunOpts{
-		MaxRounds:  j.Rounds,
-		Seed:       j.Seed,
-		TraceEvery: j.TraceEvery,
-		Events:     j.Events(),
-	}, nil
-}
-
 // Replay drives eng through the journaled run and returns the replayed
 // RunResult. Bit-exactness against Journal.Result is the serve-mode
 // determinism contract: the engine must be built from the same initial
@@ -217,6 +189,21 @@ func Replay[S core.State](j *Journal, eng core.Engine[S]) (core.RunResult, error
 			j.Result.Rounds, j.Result.Moves, res.Rounds, res.Moves)
 	}
 	return res, nil
+}
+
+// canonical drops empty event lists, which Write omits, so an entry
+// reads back the same whether a list was spelled [] or left out.
+func (e Entry) canonical() Entry {
+	e.Arrivals, e.Departures, e.WeightDepartures = nilIfEmpty(e.Arrivals), nilIfEmpty(e.Departures), nilIfEmpty(e.WeightDepartures)
+	e.WeightArrivals = nilIfEmpty(e.WeightArrivals)
+	return e
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // jsonl line wrappers: one header object, one line per entry, one
@@ -317,6 +304,9 @@ func parseSegment(r io.Reader) (*parsedSegment, error) {
 			if line.Header.Version != journalVersion {
 				return nil, fmt.Errorf("serve: journal version %d, want %d", line.Header.Version, journalVersion)
 			}
+			if len(line.Header.Meta) == 0 {
+				line.Header.Meta = nil
+			}
 			sg.header = line.Header
 		case "batch":
 			if sg.header == nil {
@@ -325,7 +315,7 @@ func parseSegment(r io.Reader) (*parsedSegment, error) {
 			if line.Batch == nil {
 				return nil, fmt.Errorf("serve: batch line without batch body")
 			}
-			sg.entries = append(sg.entries, *line.Batch)
+			sg.entries = append(sg.entries, line.Batch.canonical())
 		case "result":
 			if sg.header == nil {
 				return nil, fmt.Errorf("serve: result line before header")

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/shard"
 )
 
@@ -66,19 +66,18 @@ func (c Config) withDefaults() Config {
 // Server owns a live engine and the single round loop that drives it:
 // submissions accumulate in the Batcher, each wake applies the taken
 // group as one pre-round EventBatch (journaled), steps the engine, and
-// completes the group's tickets with the admission round. The loop
-// mirrors core.Drive exactly — same base stream, same apply-then-step
-// order, same ledger and trace bookkeeping — which is what makes the
-// journal replayable to a bit-identical RunResult.
+// completes the group's tickets with the admission round. Rounds go
+// through a core.Run, the cursor core.Drive steps too — same base
+// stream, same apply-then-step order, same ledger and trace
+// bookkeeping — which is what makes the journal replayable to a
+// bit-identical RunResult.
 type Server[S core.State] struct {
-	eng core.Engine[S]
-	dyn core.DynamicEngine
+	run *core.Run[S]
 	cfg Config
 	b   *Batcher
 	m   *Metrics
 
 	journal *Journal
-	base    *rng.Stream
 
 	pt         shard.PhaseTimer
 	lastPhases shard.PhaseTimes
@@ -89,21 +88,18 @@ type Server[S core.State] struct {
 	loopExited chan struct{}
 
 	// loop-owned; published via loopExited happens-before.
-	res        core.RunResult
-	lastTraced int
-	err        error
+	err error
 }
 
-// New builds a server around eng and starts its round loop. The engine
-// must implement core.DynamicEngine (every engine in this repo does)
-// and must not be stepped by anyone else while the server runs; close
-// it only after Stop returns.
+// New builds a server around eng, records the round-0 trace point and
+// starts its round loop. The engine must implement core.DynamicEngine
+// (every engine in this repo does) and must not be stepped by anyone
+// else while the server runs; close it only after Stop returns.
 func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil engine")
 	}
-	dyn, ok := any(eng).(core.DynamicEngine)
-	if !ok {
+	if _, ok := any(eng).(core.DynamicEngine); !ok {
 		return nil, fmt.Errorf("serve: engine %T does not support workload events", eng)
 	}
 	cfg = cfg.withDefaults()
@@ -112,17 +108,19 @@ func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if err != nil {
 		return nil, err
 	}
+	// The daemon steps until Stop: its horizon is one it never reaches.
+	run, err := core.NewRun[S](eng, nil, core.RunOpts{MaxRounds: math.MaxInt, Seed: cfg.Seed, TraceEvery: cfg.TraceEvery}, nil)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server[S]{
-		eng:        eng,
-		dyn:        dyn,
+		run:        run,
 		cfg:        cfg,
 		b:          b,
 		m:          m,
-		base:       rng.New(cfg.Seed),
 		ctrl:       make(chan func()),
 		stopc:      make(chan struct{}),
 		loopExited: make(chan struct{}),
-		lastTraced: -1,
 	}
 	if !cfg.DisableJournal && cfg.Sink == nil {
 		s.journal = &Journal{
@@ -179,7 +177,7 @@ func (s *Server[S]) Do(f func()) {
 func (s *Server[S]) Stop() (core.RunResult, error) {
 	s.stopOnce.Do(func() { close(s.stopc) })
 	<-s.loopExited
-	return s.res, s.err
+	return s.run.Result(), s.err
 }
 
 // Journal returns the admitted-batch ledger. Complete (rounds + result
@@ -187,26 +185,6 @@ func (s *Server[S]) Stop() (core.RunResult, error) {
 // through a streaming Sink (read the segment chain back with
 // ReadJournalSegments in that case).
 func (s *Server[S]) Journal() *Journal { return s.journal }
-
-// record mirrors core.Drive's trace sampling byte for byte.
-func (s *Server[S]) record(round int) error {
-	if s.cfg.TraceEvery <= 0 || round == s.lastTraced {
-		return nil
-	}
-	st, err := s.eng.State()
-	if err != nil {
-		return err
-	}
-	s.res.Trace = append(s.res.Trace, core.TracePoint{
-		Round:  round,
-		Psi0:   st.Psi0(),
-		Psi1:   st.Psi1(),
-		LDelta: st.LDelta(),
-		Moves:  s.res.Moves,
-	})
-	s.lastTraced = round
-	return nil
-}
 
 // samplePhases folds the engine's cumulative phase times into the
 // metrics as per-round deltas, and (when span recording is on) lays
@@ -237,27 +215,25 @@ func (s *Server[S]) samplePhases(stepStart time.Time) {
 // runRound executes one protocol round, applying g's batch first when
 // g is non-nil (exactly core.Drive's apply-then-step order).
 func (s *Server[S]) runRound(g *group) error {
-	round := s.res.Rounds + 1
+	round := s.run.Round() + 1
 	if g != nil {
 		s.m.recordBatch(g.subs, time.Since(g.first))
 		t0 := time.Now()
-		led, err := s.dyn.ApplyEvents(g.batch)
+		err := s.run.Apply(g.batch)
 		d := time.Since(t0)
 		s.m.applyNs.Add(uint64(d))
 		s.cfg.Spans.Span(0, 0, "apply", t0, d)
 		if err != nil {
 			return err
 		}
-		led.Batches = 1
-		s.res.Ledger.Add(led)
 		if s.journal != nil {
-			s.journal.appendEntry(round, g.batch)
+			s.journal.Entries = append(s.journal.Entries, entryFromBatch(round, g.batch))
 		}
 	} else {
 		s.m.idleRounds.Add(1)
 	}
 	t0 := time.Now()
-	moves, err := s.eng.Step(uint64(round), s.base)
+	err := s.run.Step()
 	d := time.Since(t0)
 	s.m.stepNs.Add(uint64(d))
 	s.cfg.Spans.Span(0, 0, "step", t0, d)
@@ -265,64 +241,40 @@ func (s *Server[S]) runRound(g *group) error {
 		return err
 	}
 	s.samplePhases(t0)
-	s.res.Moves += moves
-	s.res.Rounds = round
+	res := s.run.Result()
 	s.m.rounds.Set(uint64(round))
-	s.m.moves.Set(uint64(s.res.Moves))
-	if s.journal != nil {
-		s.journal.Rounds = round
-	}
+	s.m.moves.Set(uint64(res.Moves))
 	// The sink sees the entry after the round completes, so the partial
 	// result it may anchor a rotation on reflects that round.
 	if s.cfg.Sink != nil && g != nil {
-		if err := s.cfg.Sink.Append(entryFromBatch(round, g.batch), s.res); err != nil {
-			return err
-		}
-	}
-	if s.cfg.TraceEvery > 0 && round%s.cfg.TraceEvery == 0 {
-		if err := s.record(round); err != nil {
-			return err
-		}
+		return s.cfg.Sink.Append(entryFromBatch(round, g.batch), res)
 	}
 	return nil
 }
 
-// finish completes g (if any), publishes err, and finalizes the result
-// exactly as core.Drive does on its nil-stop exit path.
+// finish completes g (if any), publishes err, and on the clean path
+// (err == nil) closes the run exactly as core.Drive does on its nil-stop
+// exit: final trace point, Converged.
 func (s *Server[S]) finish(g *group, err error) {
 	s.b.CloseSubmit()
 	if err == nil {
-		err = s.record(s.res.Rounds)
-	}
-	if err == nil {
-		s.res.Converged = true
+		_, err = s.run.Finish()
 	}
 	s.err = err
+	round := uint64(s.run.Round())
 	if g != nil {
-		g.complete(uint64(s.res.Rounds), err)
+		g.complete(round, err)
 	}
-	// A group submitted between the failing round and CloseSubmit (or
-	// racing the stop signal) must still be completed — with the error,
-	// or by one last round on the clean path.
+	// A group submitted between a failing round and CloseSubmit must
+	// still be completed, with the error. The clean path never has one:
+	// drainAndExit takes the last group after CloseSubmit, and Submit
+	// checks for a closed batcher under the same lock.
 	if tail := s.b.Take(); tail != nil && tail.subs > 0 {
-		if err == nil {
-			if rerr := s.runRound(tail); rerr != nil {
-				s.err = rerr
-				s.res.Converged = false
-				err = rerr
-			} else if s.cfg.TraceEvery > 0 {
-				if rerr := s.record(s.res.Rounds); rerr != nil {
-					s.err = rerr
-					s.res.Converged = false
-					err = rerr
-				}
-			}
-		}
-		tail.complete(uint64(s.res.Rounds), err)
+		tail.complete(round, err)
 	}
 	if s.journal != nil {
-		res := s.res
-		s.journal.Result = &res
+		res := s.run.Result()
+		s.journal.Rounds, s.journal.Result = res.Rounds, &res
 	}
 	close(s.loopExited)
 }
@@ -330,10 +282,6 @@ func (s *Server[S]) finish(g *group, err error) {
 // loop is the single consumer: it owns the engine, the journal, and the
 // RunResult. One iteration = at most one round.
 func (s *Server[S]) loop() {
-	if err := s.record(0); err != nil {
-		s.finish(nil, err)
-		return
-	}
 	idleLeft := 0
 	for {
 		var g *group
@@ -371,12 +319,11 @@ func (s *Server[S]) loop() {
 		if g == nil || g.subs == 0 {
 			continue // spurious wake
 		}
-		err := s.runRound(g)
-		if err != nil {
+		if err := s.runRound(g); err != nil {
 			s.finish(g, err)
 			return
 		}
-		g.complete(uint64(s.res.Rounds), nil)
+		g.complete(uint64(s.run.Round()), nil)
 		s.b.Recycle(g.batch)
 		idleLeft = s.cfg.IdleRounds
 	}
@@ -392,7 +339,7 @@ func (s *Server[S]) drainAndExit() {
 			s.finish(g, err)
 			return
 		}
-		g.complete(uint64(s.res.Rounds), nil)
+		g.complete(uint64(s.run.Round()), nil)
 		s.b.Recycle(g.batch)
 	}
 	s.finish(nil, nil)

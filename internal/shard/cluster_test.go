@@ -10,6 +10,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -474,7 +475,8 @@ func fixCRCTrailer(b []byte) {
 
 // TestReadCheckpointRejectsCorrupt pins the loud-failure contract for
 // damaged checkpoint files: truncation, byte flips, trailing garbage
-// and a wrong magic must all be detected, never silently decoded.
+// and a wrong magic must all be detected, never silently decoded — and
+// so must CRC-valid files whose run progress no run can have written.
 func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 	class, err := experiments.ClassByKey("torus")
 	if err != nil {
@@ -529,4 +531,41 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 		fixCRCTrailer(b)
 		return b
 	}, "shard count")
+
+	// CRC-valid files whose run fields contradict each other. The run
+	// fields follow the variable-length instance: seed, MaxRounds and
+	// TraceEvery (driveOpts), then round, three weighted accumulators,
+	// result rounds and moves, the trace and lastTraced. The last
+	// checkpoint is after round 50; its trace ends at round 49.
+	var opts [24]byte
+	binary.LittleEndian.PutUint64(opts[0:], driveOpts.Seed)
+	binary.LittleEndian.PutUint64(opts[8:], uint64(driveOpts.MaxRounds))
+	binary.LittleEndian.PutUint64(opts[16:], uint64(driveOpts.TraceEvery))
+	if bytes.Count(raw, opts[:]) != 1 {
+		t.Fatal("run options not found exactly once in the checkpoint")
+	}
+	optsOff := bytes.Index(raw, opts[:])
+	roundOff := optsOff + 24
+	resRoundsOff := roundOff + 32
+	traceN := int(binary.LittleEndian.Uint32(raw[resRoundsOff+16:]))
+	traceOff := resRoundsOff + 20
+	lastTracedOff := traceOff + 40*traceN
+	put := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
+	progress := func(name string, edit func([]byte)) {
+		t.Helper()
+		corrupt(name, func(b []byte) []byte {
+			edit(b)
+			fixCRCTrailer(b)
+			return b
+		}, "inconsistent run progress")
+	}
+	progress("round-not-result-rounds", func(b []byte) { put(b, roundOff, 49) })
+	progress("negative-round", func(b []byte) { put(b, roundOff, -4); put(b, resRoundsOff, -4) })
+	progress("round-past-horizon", func(b []byte) { put(b, roundOff, 51); put(b, resRoundsOff, 51) })
+	progress("zero-horizon", func(b []byte) { put(b, optsOff+8, 0) })
+	progress("negative-trace-interval", func(b []byte) { put(b, optsOff+16, -1) })
+	progress("last-traced-past-round", func(b []byte) { put(b, lastTracedOff, 51) })
+	progress("last-traced-below-minus-one", func(b []byte) { put(b, lastTracedOff, -2) })
+	progress("trace-not-ascending", func(b []byte) { put(b, traceOff+40, 0) })
+	progress("trace-past-round", func(b []byte) { put(b, roundOff, 45); put(b, resRoundsOff, 45) })
 }

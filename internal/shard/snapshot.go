@@ -13,15 +13,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/rng"
 	"repro/internal/transport"
 )
 
 // Deterministic cluster checkpoints. A checkpoint is one self-contained
 // file written atomically (temp + rename) by the coordinator after a
 // completed round: the full instance description (CSR, speeds, λ₂,
-// protocol, partition), the run options, the driver's progress (round,
-// partial RunResult, trace position), the coordinator's authoritative
+// protocol, partition), the run options, the run's core.Progress
+// (partial RunResult, trace position), the coordinator's authoritative
 // weighted accumulators (totalW bits, recompute counter, task count)
 // and every shard's own-range state (counts, or segment lengths +
 // contents + cached weight sums), gathered over the wire. The rng
@@ -82,13 +81,19 @@ func (ck *Checkpoint) Weighted() bool { return ck.model == modelWeighted }
 // Result returns the partial run result up to the checkpointed round.
 func (ck *Checkpoint) Result() core.RunResult { return ck.res }
 
+// progress is the core.Run position the checkpoint serializes.
+func (ck *Checkpoint) progress() *core.Progress {
+	return &core.Progress{Result: ck.res, LastTraced: ck.lastTraced}
+}
+
 // checkpoint gathers every worker's state and writes the checkpoint
-// file atomically. Callers hold c.mu or have exclusive use of the
-// cluster (driveCluster runs single-threaded between Steps).
-func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res *core.RunResult, lastTraced int) error {
+// file, holding the run's progress p, atomically. Callers hold c.mu or
+// have exclusive use of the cluster (driveCluster runs single-threaded
+// between Steps).
+func (c *clusterCore) checkpoint(path string, opts core.RunOpts, p core.Progress) error {
 	start := time.Now()
 	c.buf.Reset()
-	c.buf.PutU64(uint64(round))
+	c.buf.PutU64(uint64(p.Result.Rounds))
 	states, err := c.gatherOwnStates(transport.KindCheckpoint, transport.KindCheckpointAck, c.buf.B)
 	if err != nil {
 		return fmt.Errorf("shard: checkpoint gather: %w", err)
@@ -97,9 +102,9 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 		model: c.model, proto: c.proto, alpha: c.alpha, p: c.p, strategy: c.strategy,
 		csrName: c.csr.Name(), n: c.n, offsets: c.csr.Offsets(), adj: c.csr.Adj(),
 		speeds: c.sys.Speeds(), lambda2: c.sys.Lambda2(),
-		Seed: opts.Seed, MaxRounds: opts.MaxRounds, TraceEvery: opts.TraceEvery, Round: round,
+		Seed: opts.Seed, MaxRounds: opts.MaxRounds, TraceEvery: opts.TraceEvery, Round: p.Result.Rounds,
 		totalW: c.totalW, count: c.count, sinceRecompute: c.sinceRecompute,
-		res: *res, lastTraced: lastTraced, states: states,
+		res: p.Result, lastTraced: p.LastTraced, states: states,
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
@@ -310,6 +315,14 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	ck.lastTraced = int(v)
+	// A CRC-valid file may still carry run fields no run can have written.
+	if ck.Round != ck.res.Rounds {
+		return nil, fmt.Errorf("%w: checkpoint round %d, result rounds %d", core.ErrBadProgress, ck.Round, ck.res.Rounds)
+	}
+	opts := core.RunOpts{MaxRounds: ck.MaxRounds, Seed: ck.Seed, TraceEvery: ck.TraceEvery}
+	if err := ck.progress().Validate(opts); err != nil {
+		return nil, err
+	}
 	// Every shard state starts with at least one 4-byte length prefix,
 	// so a shard count the remaining bytes cannot hold is corrupt; the
 	// check keeps a crafted count from forcing a huge allocation.
@@ -449,11 +462,12 @@ type CheckpointConfig struct {
 	Every int
 }
 
-// Drive runs the cluster to opts.MaxRounds with core.Drive's exact
-// fixed-horizon loop shape (nil stop, no events), optionally writing
-// periodic checkpoints and resuming from one. The produced RunResult —
-// trace included — is bit-identical to core.Drive over any parity
-// engine, and a resumed run reproduces the uninterrupted run's result.
+// Drive runs the cluster to opts.MaxRounds through the core.Run cursor
+// core.Drive steps (nil stop, no events), optionally writing periodic
+// checkpoints of its progress and resuming from one. The produced
+// RunResult — trace included — is bit-identical to core.Drive over any
+// parity engine, and a resumed run reproduces the uninterrupted run's
+// result.
 func (c *UniformCluster) Drive(opts core.RunOpts, ck CheckpointConfig, from *Checkpoint) (core.RunResult, error) {
 	return driveCluster[*core.UniformState](c, c.clusterCore, opts, ck, from)
 }
@@ -464,75 +478,33 @@ func (c *WeightedCluster) Drive(opts core.RunOpts, ck CheckpointConfig, from *Ch
 }
 
 func driveCluster[S core.State](eng core.Engine[S], cc *clusterCore, opts core.RunOpts, ck CheckpointConfig, from *Checkpoint) (core.RunResult, error) {
-	if opts.MaxRounds <= 0 {
-		return core.RunResult{}, fmt.Errorf("shard: MaxRounds must be positive, got %d", opts.MaxRounds)
-	}
-	if opts.TraceEvery < 0 {
-		return core.RunResult{}, errors.New("shard: negative trace interval")
-	}
 	if opts.Events != nil {
 		return core.RunResult{}, errors.New("shard: cluster Drive does not take events; use core.Drive")
 	}
 	if ck.Every > 0 && ck.Path == "" {
 		return core.RunResult{}, errors.New("shard: checkpointing enabled without a path")
 	}
-	base := rng.New(opts.Seed)
-	var res core.RunResult
-	lastTraced := -1
-	start := 0
+	var progress *core.Progress
 	if from != nil {
 		if from.Seed != opts.Seed || from.MaxRounds != opts.MaxRounds || from.TraceEvery != opts.TraceEvery {
-			return res, fmt.Errorf("shard: resume options (seed %d, rounds %d, trace %d) differ from checkpoint (%d, %d, %d)",
+			return core.RunResult{}, fmt.Errorf("shard: resume options (seed %d, rounds %d, trace %d) differ from checkpoint (%d, %d, %d)",
 				opts.Seed, opts.MaxRounds, opts.TraceEvery, from.Seed, from.MaxRounds, from.TraceEvery)
 		}
-		res = from.res
-		lastTraced = from.lastTraced
-		start = from.Round
+		progress = from.progress()
 	}
-	record := func(round int) error {
-		if opts.TraceEvery <= 0 || round == lastTraced {
-			return nil
-		}
-		st, err := eng.State()
-		if err != nil {
-			return err
-		}
-		res.Trace = append(res.Trace, core.TracePoint{
-			Round:  round,
-			Psi0:   st.Psi0(),
-			Psi1:   st.Psi1(),
-			LDelta: st.LDelta(),
-			Moves:  res.Moves,
-		})
-		lastTraced = round
-		return nil
+	r, err := core.NewRun(eng, nil, opts, progress)
+	if err != nil {
+		return core.RunResult{}, err
 	}
-	if start == 0 {
-		if err := record(0); err != nil {
-			return res, err
+	for r.Round() < opts.MaxRounds {
+		if err := r.Step(); err != nil {
+			return r.Result(), err
 		}
-	}
-	for round := start + 1; round <= opts.MaxRounds; round++ {
-		moves, err := eng.Step(uint64(round), base)
-		if err != nil {
-			return res, err
-		}
-		res.Moves += moves
-		res.Rounds = round
-		if opts.TraceEvery > 0 && round%opts.TraceEvery == 0 {
-			if err := record(round); err != nil {
-				return res, err
-			}
-		}
-		if ck.Every > 0 && round%ck.Every == 0 {
-			if err := cc.checkpoint(ck.Path, round, opts, &res, lastTraced); err != nil {
-				return res, err
+		if ck.Every > 0 && r.Round()%ck.Every == 0 {
+			if err := cc.checkpoint(ck.Path, opts, r.Progress()); err != nil {
+				return r.Result(), err
 			}
 		}
 	}
-	if err := record(res.Rounds); err != nil {
-		return res, err
-	}
-	res.Converged = true
-	return res, nil
+	return r.Finish()
 }

@@ -3,11 +3,13 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // sampleCheckpoints returns one uniform and one weighted checkpoint on a
@@ -80,10 +82,23 @@ func TestDecodeCheckpointRejectsHugeShardCount(t *testing.T) {
 	}
 }
 
+// stillEngine is handed to restores that must not touch the engine:
+// any Step or State call fails.
+type stillEngine struct{}
+
+func (stillEngine) Step(uint64, *rng.Stream) (int64, error) {
+	return 0, errors.New("restore stepped the engine")
+}
+
+func (stillEngine) State() (*core.UniformState, error) {
+	return nil, errors.New("restore sampled the engine")
+}
+
 // FuzzDecodeCheckpoint checks the checkpoint decoder on arbitrary bytes,
 // both as given and with a recomputed CRC trailer (so mutations get past
-// the checksum): decoding returns an error and never panics, and
-// whatever it accepts re-encodes to exactly the input bytes.
+// the checksum): decoding returns an error and never panics, whatever
+// it accepts re-encodes to exactly the input bytes, and its progress
+// restores into a core.Run under its own run options.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, ck := range sampleCheckpoints() {
 		raw := ck.encode()
@@ -99,6 +114,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 			if again := ck.encode(); !bytes.Equal(again, in) {
 				t.Fatalf("decoded checkpoint re-encodes to %d bytes that differ from the %d input bytes", len(again), len(in))
+			}
+			p := ck.progress()
+			opts := core.RunOpts{MaxRounds: ck.MaxRounds, Seed: ck.Seed, TraceEvery: ck.TraceEvery}
+			if _, err := core.NewRun[*core.UniformState](stillEngine{}, nil, opts, p); err != nil {
+				t.Fatalf("accepted checkpoint does not restore: %v", err)
 			}
 		}
 	})
